@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 bench/run.py --workload offset_plateau --seed 0 --seconds 30 --trace 0
+    python3 bench/run.py --workload offset_plateau --seed 0 --seconds 34 --trace 0
 
 Workloads (see ``bench/workloads.py``):
 
@@ -13,13 +13,23 @@ Workloads (see ``bench/workloads.py``):
 - ``cli_demo``: every shipped demo config through ``ricemele.cli.main``,
   including ``sweep offset --jobs 2``, the only process-pool path.
 
-``--trace 0`` prints the end-to-end metrics (setup_s, wall_s, cpu_s,
-peak_rss_mb, ref_err); ``--trace 1`` prints the per-layer metrics of a
-traced run and the tracing overhead. Either way the last line of stdout is
-one JSON object with the keys ``correct``, ``attempted``, ``failed`` and
-``metrics``; the lines before it give quartiles, sample counts, failed
-checks and the environment (git sha, CPU, numpy/scipy/BLAS versions and
-the BLAS thread variables, which the benchmark records and never sets).
+``--trace 0`` prints the end-to-end metrics (setup_s, wall_norm,
+cpu_norm, peak_rss_mb, ref_err); ``--trace 1`` prints the per-layer
+metrics of a traced run and the tracing overhead. Either way the last line
+of stdout is one JSON object with the keys ``correct``, ``attempted``,
+``failed`` and ``metrics``; the lines before it give raw times, quartiles,
+sample counts, failed checks and the environment (git sha, CPU,
+numpy/scipy/BLAS versions and the BLAS thread variables, which the
+benchmark records and never sets).
+
+Times on a shared host drift by tens of percent with other tenants' load,
+so each timed run is bracketed by bursts of a fixed numpy kernel
+(``bench/gauge.py``). ``wall_norm`` and ``cpu_norm`` are the medians over
+the run of each run's wall and CPU time divided by the mean wall time of
+the two bursts around it: the workload's time in units of the gauge's
+time on the same machine at the same moment. The raw seconds are printed
+beside them. ``setup_s`` is the median of fresh-interpreter set-ups spread
+over the measuring time.
 
 ``--smoke`` runs a reduced-size version for the benchmark's own tests.
 """
@@ -37,6 +47,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -47,8 +58,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 END_TO_END = (
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("cpu_s", "s"),
+    ("wall_norm", "gauge"),
+    ("cpu_norm", "gauge"),
     ("peak_rss_mb", "MB"),
     ("ref_err", "population"),
 )
@@ -102,7 +113,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0, help="measuring time per run")
+    parser.add_argument("--seconds", type=float, default=34.0, help="measuring time per run")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true", help="reduced-size inputs for self-tests")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
@@ -135,19 +146,16 @@ def setup_probe(args) -> int:
     return 0
 
 
-def measure_setup(args, repeats):
-    """Wall times and input digests of fresh-interpreter setup probes."""
+def setup_probe_time(args):
+    """Wall time and input digest of one fresh-interpreter setup probe."""
     cmd = [sys.executable, os.path.abspath(__file__), "--setup-probe", "--workload", args.workload,
            "--seed", str(args.seed)] + (["--smoke"] if args.smoke else [])
-    times, digests = [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
-        times.append(time.perf_counter() - start)
-        if proc.returncode != 0:
-            raise RuntimeError(f"setup probe failed: {proc.stderr.strip()[-500:]}")
-        digests.append(proc.stdout.strip().splitlines()[-1])
-    return times, digests
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"setup probe failed: {proc.stderr.strip()[-500:]}")
+    return elapsed, proc.stdout.strip().splitlines()[-1]
 
 
 def cpu_s() -> float:
@@ -157,14 +165,29 @@ def cpu_s() -> float:
     return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
 
 
-def timed_runs(workload, inputs, seconds, min_runs, checks, before_run=None):
+@dataclass
+class Sample:
+    """One timed run, with the mean wall time of the gauge bursts around it."""
+
+    wall: float
+    cpu: float
+    gauge: float
+
+
+def timed_runs(workload, inputs, seconds, min_runs, checks, gauge, before_run=None, probe=None):
     """Run the workload at least ``min_runs`` times, then as long as one more
-    run of median length still ends within ``seconds``.
-    Returns [(wall_s, cpu_s)] and the last result."""
-    samples, result = [], None
+    iteration of median length ends closer to ``seconds`` than stopping
+    now would. A gauge burst precedes the first run and follows every run;
+    ``probe``, if given, is called before each run and counts against
+    ``seconds``. Returns [Sample] and the last result."""
+    samples, result, iterations = [], None, []
     start = time.perf_counter()
+    before = gauge.burst()
     while len(samples) < min_runs or (
-            time.perf_counter() - start + statistics.median(w for w, _ in samples) <= seconds):
+            time.perf_counter() - start + statistics.median(iterations) / 2 <= seconds):
+        t_iter = time.perf_counter()
+        if probe:
+            probe()
         run_inputs = before_run(len(samples)) if before_run else inputs
         workload.prepare(run_inputs)
         cpu0, t0 = cpu_s(), time.perf_counter()
@@ -173,9 +196,12 @@ def timed_runs(workload, inputs, seconds, min_runs, checks, before_run=None):
         except Exception as exc:  # noqa: BLE001 - a failed run is reported, not raised
             checks.add(f"{workload.name} run", False, repr(exc))
             break
-        samples.append((time.perf_counter() - t0, cpu_s() - cpu0))
+        wall, cpu = time.perf_counter() - t0, cpu_s() - cpu0
         workload.check_result(out, run_inputs, checks)
-        result = out
+        after = gauge.burst()
+        samples.append(Sample(wall, cpu, (before + after) / 2))
+        before, result = after, out
+        iterations.append(time.perf_counter() - t_iter)
     return samples, result
 
 
@@ -263,22 +289,34 @@ def main(argv=None) -> int:
     if args.setup_probe:
         return setup_probe(args)
 
+    from bench.gauge import Gauge
     from bench.tracing import Tracer
     from bench.workloads import Checks, digest
 
     checks = Checks()
     workdir = _fresh_dir(os.path.join(ROOT, ".bench_work", args.workload))
+    setup_times, probe_digests = [], []
+    setup_repeats = 1 if args.smoke else SETUP_REPEATS
+
+    def probe():
+        if len(setup_times) < setup_repeats:
+            elapsed, probe_digest = setup_probe_time(args)
+            setup_times.append(elapsed)
+            probe_digests.append(probe_digest)
+
     try:
-        setup_times, probe_digests = measure_setup(args, 1 if args.smoke else SETUP_REPEATS)
         workload = make_workload(args.workload, args.seed, args.smoke, workdir)
         inputs = workload.build()
-        checks.add("seeded inputs byte-identical across processes",
-                   set(probe_digests) == {digest(workload.describe(inputs))})
+        gauge = Gauge()
 
         min_runs = 1 if args.trace else (2 if args.smoke else MIN_RUNS)
         budget = args.seconds / 2 if args.trace else args.seconds
-        samples, result = timed_runs(workload, inputs, budget, min_runs, checks)
+        samples, result = timed_runs(workload, inputs, budget, min_runs, checks, gauge, probe=probe)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        while len(setup_times) < setup_repeats:
+            probe()
+        checks.add("seeded inputs byte-identical across processes",
+                   set(probe_digests) == {digest(workload.describe(inputs))})
 
         traced, tracer = [], Tracer()
         if args.trace and result is not None:
@@ -288,7 +326,7 @@ def main(argv=None) -> int:
                     tracer.begin_run(f"run-{k}")
                     return workload.build()
 
-                traced, traced_result = timed_runs(workload, inputs, budget, 1, checks, traced_inputs)
+                traced, traced_result = timed_runs(workload, inputs, budget, 1, checks, gauge, traced_inputs)
             finally:
                 tracer.uninstall()
             result = traced_result or result
@@ -302,19 +340,24 @@ def main(argv=None) -> int:
     if not samples or (args.trace and not traced):
         print("error: no run of the workload completed", file=sys.stderr)
         return 1
-    walls = [w for w, _ in samples]
-    cpus = [c for _, c in samples]
+    walls = [s.wall for s in samples]
+    wall_norm = [s.wall / s.gauge for s in samples]
+    cpu_norm = [s.cpu / s.gauge for s in samples]
     q1, wall_median, q3 = quartiles(walls)
+    n1, norm_median, n3 = quartiles(wall_norm)
     print(f"workload {args.workload} seed {args.seed} trace {args.trace} smoke {int(args.smoke)}")
-    print(f"wall_s median {wall_median:.4f} q1 {q1:.4f} q3 {q3:.4f} n {len(samples)}; "
-          f"cpu_s median {statistics.median(cpus):.4f}; setup_s {[round(t, 4) for t in setup_times]}")
+    print(f"wall_s median {wall_median:.4f} q1 {q1:.4f} q3 {q3:.4f} min {min(walls):.4f} n {len(samples)}; "
+          f"cpu_s median {statistics.median(s.cpu for s in samples):.4f}; "
+          f"gauge burst wall_s median {statistics.median(s.gauge for s in samples):.4f}")
+    print(f"wall_norm median {norm_median:.4f} q1 {n1:.4f} q3 {n3:.4f}; "
+          f"cpu_norm median {statistics.median(cpu_norm):.4f}; setup_s {[round(t, 4) for t in setup_times]}")
     print(f"ref_err {ref_err:.3e} (fixed anchors), {ref_err_seeded:.3e} (seeded points); "
           f"failed_frac {len(checks.failures) / max(checks.attempted, 1):.6g} "
           f"({len(checks.failures)} of {checks.attempted} checks)")
     print("environment " + json.dumps(environment(), sort_keys=True))
 
     if args.trace:
-        traced_walls = [w for w, _ in traced]
+        traced_walls = [s.wall for s in traced]
         metrics = layer_metrics(tracer, [f"run-{k}" for k in range(len(traced))],
                                 walls, traced_walls, ref_err_seeded)
         spans = os.path.join(workdir, "spans.jsonl")
@@ -324,8 +367,8 @@ def main(argv=None) -> int:
     else:
         metrics = {
             "setup_s": statistics.median(setup_times),
-            "wall_s": wall_median,
-            "cpu_s": statistics.median(cpus),
+            "wall_norm": norm_median,
+            "cpu_norm": statistics.median(cpu_norm),
             "peak_rss_mb": peak_rss_mb,
             "ref_err": ref_err,
         }
