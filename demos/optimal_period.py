@@ -2,10 +2,13 @@
 
 Too fast and the cycle is diabatic; too slow and the wavepacket
 disperses while it waits, because the instantaneous bands are not flat.
-The tradeoff puts the best period near 2*pi divided by the maximum
-band width. The control-freak schedule keeps the chain fully dimerized
-(flat bands, zero width) at all times, so it has no such optimum: its
-efficiency just grows with the period.
+The tradeoff puts the best period at a fraction of 2*pi divided by the
+maximum band width: the optimum scales as 1 / width, but the measured
+prefactor is 0.25-0.29 on N = 15 (README, acceptance 3) and about 0.38
+on this N = 5 chain (2.36 us against 6.29 us), so the printed 2*pi/width
+is a scale, not the optimum itself. The control-freak schedule keeps
+the chain fully dimerized (flat bands, zero width) at all times, so it
+has no such optimum: its efficiency just grows with the period.
 """
 
 import pathlib

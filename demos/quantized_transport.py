@@ -13,7 +13,7 @@ import numpy as np
 from ricemele import ChainSpec, PumpProtocol
 from ricemele.model import TWO_PI
 from ricemele.spectrum import predict_optimal_period
-from ricemele.sweeps import SweepSpec, run_mean_position
+from ricemele.sweeps import SweepSpec, run_sweep
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
     periods = np.geomspace(t_pred / 2, t_pred * 2, 9)
 
     spec = SweepSpec("mean_position", chain, template, {"period": periods}, jobs=2)
-    result = run_mean_position(spec)
+    result = run_sweep(spec)
 
     print(f"predicted optimal period: {t_pred:.2f} us")
     print(f"ideal shift after {template.n_cycles} cycles: "

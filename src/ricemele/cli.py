@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -303,12 +304,7 @@ def _cmd_validate(args, cfg) -> int:
 
     psi0 = evolution.initial_dimer_state(chain, point, 1, "lower")
     cfg_evo = evolution.EvolutionConfig(dt=protocol.period / 256, store_states=False)
-    short = evolution.evolve(
-        chain,
-        type(protocol)(protocol.kind, protocol.j_max, protocol.delta0,
-                       protocol.delta_offset, protocol.period, 1),
-        psi0, cfg_evo,
-    )
+    short = evolution.evolve(chain, replace(protocol, n_cycles=1), psi0, cfg_evo)
     norm_drift = abs(float(np.linalg.norm(short.final_state)) - 1.0)
     checks.append(("evolution unitary (norm drift < 1e-9)", norm_drift < 1e-9))
 

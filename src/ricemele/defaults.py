@@ -78,7 +78,7 @@ SIZE_SWEEP = {
     "j_max": mhz(1.5),
     "delta0": mhz(7.0),
     "n_cycles": 2,
-    "sizes": (5, 7, 9, 13),
+    "n_sites": (5, 7, 9, 13),
     "center_sizes": (13,),
     "period": np.linspace(0.1, 6.0, 60),
 }

@@ -8,6 +8,7 @@ floating-point accuracy regardless of step size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,10 +29,10 @@ class EvolutionConfig:
     store_states: bool = True
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError(f"convergence_tol must be positive and finite, got {self.convergence_tol!r}")
 
     def resolve_dt(self, protocol: PumpProtocol) -> float:
         return self.dt if self.dt is not None else protocol.period / DEFAULT_STEPS_PER_CYCLE
@@ -53,7 +54,7 @@ class EvolutionRecord:
 
     def cell_population_table(self) -> np.ndarray:
         """Cell populations for every stored time, shape (M, n_cells)."""
-        return np.stack([cell_populations(s, self.spec) for s in self.states])
+        return cell_populations(self.states, self.spec)
 
 
 @dataclass(frozen=True)
@@ -80,20 +81,17 @@ def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i h dt) to psi via eigendecomposition of the symmetric h."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+    return _propagate(np.asarray(h)[None], dt, psi, store=False)[0]
 
 
-def _propagate_schedule(spec, j1, j2, delta, dt, psi0, store):
-    """Shared stepping core over precomputed midpoint parameter arrays."""
-    h = build_hamiltonians(spec, j1, j2, delta)
+def _propagate(h, dt, psi0, store):
+    """Shared stepping core: apply exp(-i h[k] dt) for each Hamiltonian of the stack in turn."""
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w * dt)
     psi = np.asarray(psi0, dtype=complex)
     states = [psi] if store else None
-    for k in range(len(j1)):
-        vk = v[k]
-        psi = vk @ (phases[k] * (vk.conj().T @ psi))
+    for vk, phase in zip(v, phases):
+        psi = vk @ (phase * (vk.conj().T @ psi))
         if store:
             states.append(psi)
     return psi, states
@@ -116,14 +114,16 @@ def evolve(
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
 
-    dt = cfg.resolve_dt(protocol)
-    record = _evolve_fixed(spec, protocol, psi0, dt, cfg.store_states)
+    couplings = partial(sample_trajectory, protocol)
+    record = _evolve_fixed(spec, couplings, protocol.duration, psi0, cfg.resolve_dt(protocol),
+                           cfg.store_states, protocol)
     if not cfg.adaptive_halving:
         return record
 
     pops = cell_populations(record.final_state, spec)
     for _ in range(MAX_HALVINGS):
-        finer = _evolve_fixed(spec, protocol, psi0, record.dt / 2.0, cfg.store_states)
+        finer = _evolve_fixed(spec, couplings, protocol.duration, psi0, record.dt / 2.0,
+                              cfg.store_states, protocol)
         finer_pops = cell_populations(finer.final_state, spec)
         if np.max(np.abs(finer_pops - pops)) < cfg.convergence_tol:
             return finer
@@ -134,18 +134,21 @@ def evolve(
     )
 
 
-def _evolve_fixed(spec, protocol, psi0, dt, store):
-    duration = protocol.duration
+def _evolve_fixed(spec, couplings, duration, psi0, dt, store, protocol=None):
+    """Midpoint stepping over [0, duration] with the step nearest dt that tiles it.
+
+    couplings(t) returns the (J1, J2, delta) arrays at the step midpoints t.
+    """
     n_steps = max(1, int(round(duration / dt)))
     dt = duration / n_steps
     t_mid = (np.arange(n_steps) + 0.5) * dt
-    j1, j2, delta = sample_trajectory(protocol, t_mid)
-    psi, states = _propagate_schedule(spec, j1, j2, delta, dt, psi0, store)
-    times = np.linspace(0.0, duration, n_steps + 1)
-    stacked = np.stack(states) if store else np.stack([psi0, psi])
-    if not store:
-        times = np.array([0.0, duration])
-    return EvolutionRecord(times=times, states=stacked, spec=spec, dt=dt, protocol=protocol)
+    h = build_hamiltonians(spec, *couplings(t_mid))
+    psi, states = _propagate(h, dt, psi0, store)
+    if store:
+        times, states = np.linspace(0.0, duration, n_steps + 1), np.stack(states)
+    else:
+        times, states = np.array([0.0, duration]), np.stack([psi0, psi])
+    return EvolutionRecord(times=times, states=states, spec=spec, dt=dt, protocol=protocol)
 
 
 def initial_dimer_state(
@@ -189,8 +192,13 @@ def initial_dimer_state(
 
 
 def cell_populations(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    p = np.abs(np.asarray(psi)) ** 2
-    return np.array([sum(p[s - 1] for s in cell) for cell in spec.cells])
+    """Population of each cell, for a state or a stack of states (..., n_sites).
+
+    Cells hold at most two sites, so the site-to-cell indicator product
+    adds the same terms, bit for bit, as summing each cell's sites.
+    """
+    owner = np.repeat(np.arange(spec.n_cells), [len(cell) for cell in spec.cells])
+    return np.abs(np.asarray(psi)) ** 2 @ np.eye(spec.n_cells)[owner]
 
 
 def transfer_efficiency(record: EvolutionRecord, spec: ChainSpec | None = None) -> float:
@@ -226,17 +234,14 @@ def stirap_sequence(
     if psi0 is None:
         psi0 = np.zeros(3, dtype=complex)
         psi0[0] = 1.0
+
+    def couplings(t_mid):
+        envs = {1: np.zeros(len(t_mid)), 2: np.zeros(len(t_mid))}
+        for pulse in (pump, stokes):
+            if pulse.bond not in envs:
+                raise ValueError("bond index must be 1 or 2 on a three-site chain")
+            envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t_mid)
+        return envs[1], envs[2], np.zeros(len(t_mid))
+
     dt = cfg.dt if cfg.dt is not None else duration / DEFAULT_STEPS_PER_CYCLE
-    n_steps = max(1, int(round(duration / dt)))
-    dt = duration / n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    envs = {1: np.zeros(n_steps), 2: np.zeros(n_steps)}
-    for pulse in (pump, stokes):
-        if pulse.bond not in envs:
-            raise ValueError("bond index must be 1 or 2 on a three-site chain")
-        envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t_mid)
-    psi, states = _propagate_schedule(
-        spec, envs[1], envs[2], np.zeros(n_steps), dt, psi0, store=True
-    )
-    times = np.linspace(0.0, duration, n_steps + 1)
-    return EvolutionRecord(times=times, states=np.stack(states), spec=spec, dt=dt)
+    return _evolve_fixed(spec, couplings, duration, psi0, dt, store=True)

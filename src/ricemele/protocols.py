@@ -8,7 +8,7 @@ stages per period so that at least one coupling is zero at all times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,12 +29,14 @@ class PumpProtocol:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.j_max <= 0:
-            raise ValueError("j_max must be positive")
-        if self.delta0 < 0:
-            raise ValueError("delta0 must be non-negative")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.j_max < np.inf:
+            raise ValueError(f"j_max must be positive and finite, got {self.j_max!r}")
+        if not 0 <= self.delta0 < np.inf:
+            raise ValueError(f"delta0 must be non-negative and finite, got {self.delta0!r}")
+        if not np.isfinite(self.delta_offset):
+            raise ValueError(f"delta_offset must be finite, got {self.delta_offset!r}")
+        if not 0 < self.period < np.inf:
+            raise ValueError(f"period must be positive and finite, got {self.period!r}")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be at least 1")
 
@@ -87,16 +89,8 @@ def winding_number(protocol: PumpProtocol, n_samples: int = 256) -> tuple[int, b
     """
     if n_samples < 64:
         raise ValueError("need at least 64 samples per cycle")
-    single = PumpProtocol(
-        protocol.kind,
-        protocol.j_max,
-        protocol.delta0,
-        protocol.delta_offset,
-        protocol.period,
-        1,
-    )
-    t = np.linspace(0.0, single.period, n_samples + 1)
-    j1, j2, delta = sample_trajectory(single, t)
+    t = np.linspace(0.0, protocol.period, n_samples + 1)
+    j1, j2, delta = sample_trajectory(replace(protocol, n_cycles=1), t)
     x = j1 - j2
     y = delta
     r = np.hypot(x, y)

@@ -1,7 +1,9 @@
 """Experiment drivers that map pump performance over parameter grids.
 
-Each sweep kind evaluates independent grid points (optionally in
-parallel), reduces into an index-addressed matrix, and serializes to a
+Each sweep kind is one entry of a table: its defaults, its axes, its
+output columns and the function that evaluates one grid point. One
+engine walks the grid, evaluates the points (optionally in parallel),
+reduces into an index-addressed matrix, and serializes to a
 self-describing CSV plus a JSON mirror. Identical sweep specs produce
 bit-identical outputs regardless of worker count.
 """
@@ -9,19 +11,60 @@ bit-identical outputs regardless of worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import metadata as _metadata
+import itertools
 import multiprocessing as mp
 
 import numpy as np
 
-from . import defaults, evolution
-from .config import canonical_json, chain_to_dict, config_hash, protocol_to_dict, pyify
+from . import defaults, evolution, protocols
+from .config import ConfigError, canonical_json, chain_to_dict, config_hash, protocol_to_dict, pyify
 from .model import TWO_PI, ChainSpec
 from .protocols import PumpProtocol, sample_trajectory
-from .spectrum import find_optimal_period, max_band_width, predict_optimal_period, pump_efficiency
+from .spectrum import (find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average,
+                       transport_efficiency)
 
-KINDS = ("offset", "period_delta", "protocol_compare", "topt_collapse", "mean_position", "size")
+
+def _efficiency_row(spec, chain, protocol, start_cell):
+    return (transport_efficiency(chain, protocol, start_cell, spec.branch, spec.dt),)
+
+
+def _compare_row(spec, chain, protocol, start_cell):
+    return tuple(transport_efficiency(chain, replace(protocol, kind=kind), start_cell, spec.branch, spec.dt)
+                 for kind in protocols.KINDS)
+
+
+def _topt_row(spec, chain, protocol, start_cell):
+    width = max_band_width(protocol)
+    scan_grid = spec.scan_grid
+    if len(scan_grid) == 0:
+        # default scan window ends before the boundary-reflection revivals
+        # that reappear at a few times the dispersion-predicted optimum
+        scan_grid = np.linspace(0.1, 1.2, 24) * (TWO_PI / width)
+    t_opt = find_optimal_period(chain, protocol, np.asarray(scan_grid), None, start_cell, spec.branch)
+    return (1.0 / width, t_opt)
+
+
+def _mean_position_row(spec, chain, protocol, start_cell):
+    psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, spec.branch)
+    record = evolution.evolve(chain, protocol, psi0, evolution.EvolutionConfig(dt=spec.dt, store_states=False))
+    mean, spread = evolution.mean_position_and_spread(record.final_state, chain)
+    return (mean - start_cell, spread)
+
+
+# kind -> (defaults, axis names in row-major order, output columns, row function).
+# A row function takes (spec, chain, protocol, start_cell), where chain and
+# protocol already carry the grid point's axis values, and returns one row.
+_KINDS = {
+    "offset": (defaults.OFFSET_SWEEP, ("delta0", "delta_offset"), ("efficiency",), _efficiency_row),
+    "period_delta": (defaults.PERIOD_DELTA_SWEEP, ("period", "delta0"), ("efficiency",), _efficiency_row),
+    "protocol_compare": (defaults.PROTOCOL_COMPARE_SWEEP, ("period",), protocols.KINDS, _compare_row),
+    "topt_collapse": (defaults.TOPT_COLLAPSE_SWEEP, ("j_max", "delta0"), ("inv_band_width", "t_opt"), _topt_row),
+    "mean_position": (defaults.MEAN_POSITION_SWEEP, ("period",), ("shift", "sigma"), _mean_position_row),
+    "size": (defaults.SIZE_SWEEP, ("n_sites", "period"), ("efficiency",), _efficiency_row),
+}
+KINDS = tuple(_KINDS)
 
 
 def provenance() -> str:
@@ -85,36 +128,6 @@ class SweepResult:
             raise ValueError("values shape must be (product of axis lengths, n_columns)")
 
 
-def _steps_dt(protocol: PumpProtocol, dt: float | None) -> float:
-    return protocol.period / evolution.DEFAULT_STEPS_PER_CYCLE if dt is None else dt
-
-
-def _efficiency_case(chain, protocol, start_cell, branch, dt):
-    psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
-    cfg = evolution.EvolutionConfig(dt=_steps_dt(protocol, dt), store_states=False)
-    record = evolution.evolve(chain, protocol, psi0, cfg)
-    destination = min(start_cell + protocol.n_cycles, chain.n_cells)
-    return (pump_efficiency(record, chain, destination),)
-
-
-def _mean_position_case(chain, protocol, start_cell, branch, dt):
-    psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
-    cfg = evolution.EvolutionConfig(dt=_steps_dt(protocol, dt), store_states=False)
-    record = evolution.evolve(chain, protocol, psi0, cfg)
-    mean, spread = evolution.mean_position_and_spread(record.final_state, chain)
-    return (mean - start_cell, spread)
-
-
-def _topt_case(chain, template, scan_grid, start_cell, branch):
-    width = max_band_width(template)
-    if len(scan_grid) == 0:
-        # default scan window ends before the boundary-reflection revivals
-        # that reappear at a few times the dispersion-predicted optimum
-        scan_grid = np.linspace(0.1, 1.2, 24) * (TWO_PI / width)
-    t_opt = find_optimal_period(chain, template, np.asarray(scan_grid), None, start_cell, branch)
-    return (1.0 / width, t_opt)
-
-
 def _run_tasks(tasks, jobs):
     """Evaluate (callable, args) pairs, filling results by task index."""
     if jobs <= 1:
@@ -128,125 +141,53 @@ def _run_tasks(tasks, jobs):
     return out
 
 
-def _result(spec: SweepSpec, axis_names, columns, rows) -> SweepResult:
-    values = np.asarray(rows, dtype=float)
-    metadata = {
-        "provenance": provenance(),
-        "kind": spec.kind,
-        "config_sha256": config_hash(spec.to_dict()),
-    }
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the kind's row function at every grid point, in row-major order.
+
+    Each point is mapped onto the spec: an n_sites value replaces the chain
+    (default cells), every other axis value the protocol field of its name.
+    mean_position and the center_sizes chains start in the center cell.
+    """
+    _, axis_names, columns, row = _KINDS[spec.kind]
+    missing = [name for name in axis_names if name not in spec.axes]
+    unexpected = [name for name in spec.axes if name not in axis_names]
+    if missing or unexpected:
+        raise ValueError(f"{spec.kind} sweep takes axes {axis_names}: "
+                         f"missing {missing}, unexpected {unexpected}")
+    tasks = []
+    for values in itertools.product(*(spec.axes[name] for name in axis_names)):
+        point = dict(zip(axis_names, values))
+        chain = spec.chain
+        if "n_sites" in point:
+            chain = replace(chain, n_sites=int(point.pop("n_sites")), cells=())
+        protocol = replace(spec.protocol, **{name: float(v) for name, v in point.items()})
+        centered = spec.kind == "mean_position" or chain.n_sites in spec.center_sizes
+        start_cell = (chain.n_cells + 1) // 2 if centered else spec.start_cell
+        tasks.append((row, (spec, chain, protocol, start_cell)))
     return SweepResult(
         kind=spec.kind,
-        axis_names=tuple(axis_names),
+        axis_names=axis_names,
         axes={name: np.asarray(spec.axes[name]) for name in axis_names},
-        columns=tuple(columns),
-        values=values,
-        metadata=metadata,
+        columns=columns,
+        values=np.asarray(_run_tasks(tasks, spec.jobs), dtype=float),
+        metadata={
+            "provenance": provenance(),
+            "kind": spec.kind,
+            "config_sha256": config_hash(spec.to_dict()),
+        },
     )
 
 
-def run_offset_sweep(spec: SweepSpec) -> SweepResult:
-    """Transfer efficiency vs detuning offset, one row block per delta0."""
-    tasks = []
-    for delta0 in spec.axes["delta0"]:
-        for offset in spec.axes["delta_offset"]:
-            protocol = PumpProtocol(
-                spec.protocol.kind, spec.protocol.j_max, float(delta0), float(offset),
-                spec.protocol.period, spec.protocol.n_cycles,
-            )
-            tasks.append((_efficiency_case, (spec.chain, protocol, spec.start_cell, spec.branch, spec.dt)))
-    rows = _run_tasks(tasks, spec.jobs)
-    return _result(spec, ("delta0", "delta_offset"), ("efficiency",), rows)
-
-
-def run_period_delta_sweep(spec: SweepSpec) -> SweepResult:
-    """Transfer efficiency over the (period, delta0) plane."""
-    tasks = []
-    for period in spec.axes["period"]:
-        for delta0 in spec.axes["delta0"]:
-            protocol = PumpProtocol(
-                spec.protocol.kind, spec.protocol.j_max, float(delta0),
-                spec.protocol.delta_offset, float(period), spec.protocol.n_cycles,
-            )
-            tasks.append((_efficiency_case, (spec.chain, protocol, spec.start_cell, spec.branch, spec.dt)))
-    rows = _run_tasks(tasks, spec.jobs)
-    return _result(spec, ("period", "delta0"), ("efficiency",), rows)
-
-
-def run_protocol_compare(spec: SweepSpec) -> SweepResult:
-    """Efficiency vs period for both protocol parameterizations."""
-    kinds = ("experimental", "control_freak")
-    tasks = []
-    for period in spec.axes["period"]:
-        for kind in kinds:
-            protocol = PumpProtocol(
-                kind, spec.protocol.j_max, spec.protocol.delta0,
-                spec.protocol.delta_offset, float(period), spec.protocol.n_cycles,
-            )
-            tasks.append((_efficiency_case, (spec.chain, protocol, spec.start_cell, spec.branch, spec.dt)))
-    flat = _run_tasks(tasks, spec.jobs)
-    rows = [(flat[2 * i][0], flat[2 * i + 1][0]) for i in range(len(spec.axes["period"]))]
-    return _result(spec, ("period",), kinds, rows)
-
-
-def run_topt_collapse(spec: SweepSpec) -> SweepResult:
-    """(1/max band width, optimal period) pairs over a (J0, delta0) grid."""
-    if 0 < len(spec.scan_grid) < 16:
-        raise ValueError("topt_collapse needs a scan_grid of at least 16 periods")
-    tasks = []
-    for j_max in spec.axes["j_max"]:
-        for delta0 in spec.axes["delta0"]:
-            template = PumpProtocol(
-                spec.protocol.kind, float(j_max), float(delta0),
-                spec.protocol.delta_offset, 1.0, spec.protocol.n_cycles,
-            )
-            tasks.append((_topt_case, (spec.chain, template, spec.scan_grid, spec.start_cell, spec.branch)))
-    rows = _run_tasks(tasks, spec.jobs)
-    return _result(spec, ("j_max", "delta0"), ("inv_band_width", "t_opt"), rows)
-
-
-def run_mean_position(spec: SweepSpec) -> SweepResult:
-    """Mean-position shift and spread after the pump sequence vs period."""
-    center = (spec.chain.n_cells + 1) // 2
-    tasks = []
-    for period in spec.axes["period"]:
-        protocol = PumpProtocol(
-            spec.protocol.kind, spec.protocol.j_max, spec.protocol.delta0,
-            spec.protocol.delta_offset, float(period), spec.protocol.n_cycles,
-        )
-        tasks.append((_mean_position_case, (spec.chain, protocol, center, spec.branch, spec.dt)))
-    rows = _run_tasks(tasks, spec.jobs)
-    return _result(spec, ("period",), ("shift", "sigma"), rows)
-
-
-def run_size_sweep(spec: SweepSpec) -> SweepResult:
-    """Efficiency vs period for several chain sizes."""
-    tasks = []
-    for n_sites in spec.axes["n_sites"]:
-        chain = ChainSpec(int(n_sites))
-        start = (chain.n_cells + 1) // 2 if int(n_sites) in spec.center_sizes else spec.start_cell
-        for period in spec.axes["period"]:
-            protocol = PumpProtocol(
-                spec.protocol.kind, spec.protocol.j_max, spec.protocol.delta0,
-                spec.protocol.delta_offset, float(period), spec.protocol.n_cycles,
-            )
-            tasks.append((_efficiency_case, (chain, protocol, start, spec.branch, spec.dt)))
-    rows = _run_tasks(tasks, spec.jobs)
-    return _result(spec, ("n_sites", "period"), ("efficiency",), rows)
-
-
-_RUNNERS = {
-    "offset": run_offset_sweep,
-    "period_delta": run_period_delta_sweep,
-    "protocol_compare": run_protocol_compare,
-    "topt_collapse": run_topt_collapse,
-    "mean_position": run_mean_position,
-    "size": run_size_sweep,
+# Sweep-section key of each grid field, and the factor from file units
+# (MHz, us) to program units (rad/us, us). An int factor reads integers.
+_SECTION_KEYS = {
+    "j_max": ("j_max_mhz", TWO_PI),
+    "delta0": ("delta0_mhz", TWO_PI),
+    "delta_offset": ("delta_offset_mhz", TWO_PI),
+    "period": ("period_us", 1.0),
+    "scan_grid": ("scan_grid_us", 1.0),
+    "n_sites": ("sizes", 1),
 }
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    return _RUNNERS[spec.kind](spec)
 
 
 def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
@@ -254,101 +195,51 @@ def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
     """Construct a SweepSpec for a kind from defaults plus config overrides.
 
     Section keys use file units: *_mhz lists/scalars for frequencies,
-    *_us for times.
+    *_us for times. The protocol takes the first value of each axis, and
+    a kind without a default period (topt_collapse, mean_position) keeps
+    period 1.0. Invalid values raise ConfigError.
     """
-    section = dict(section or {})
-    grids = {}
-
-    def freq(key, fallback):
-        return TWO_PI * np.asarray(section[key], dtype=float) if key in section else np.asarray(fallback)
-
-    def times(key, fallback):
-        return np.asarray(section[key], dtype=float) if key in section else np.asarray(fallback)
-
-    if kind == "offset":
-        base = defaults.OFFSET_SWEEP
-        n_sites = int(section.get("n_sites", base["n_sites"]))
-        protocol = PumpProtocol(
-            "experimental", float(freq("j_max_mhz", base["j_max"])), float(np.atleast_1d(freq("delta0_mhz", base["delta0"]))[0]),
-            0.0, float(times("period_us", base["period"])), int(section.get("n_cycles", base["n_cycles"])),
-        )
-        grids = {"delta0": np.atleast_1d(freq("delta0_mhz", base["delta0"])),
-                 "delta_offset": np.atleast_1d(freq("delta_offset_mhz", base["delta_offset"]))}
-        chain = ChainSpec(n_sites)
-    elif kind == "period_delta":
-        base = defaults.PERIOD_DELTA_SWEEP
-        n_sites = int(section.get("n_sites", base["n_sites"]))
-        grids = {"period": np.atleast_1d(times("period_us", base["period"])),
-                 "delta0": np.atleast_1d(freq("delta0_mhz", base["delta0"]))}
-        protocol = PumpProtocol(
-            "experimental", float(freq("j_max_mhz", base["j_max"])), float(grids["delta0"][0]),
-            0.0, float(grids["period"][0]), int(section.get("n_cycles", base["n_cycles"])),
-        )
-        chain = ChainSpec(n_sites)
-    elif kind == "protocol_compare":
-        base = defaults.PROTOCOL_COMPARE_SWEEP
-        n_sites = int(section.get("n_sites", base["n_sites"]))
-        grids = {"period": np.atleast_1d(times("period_us", base["period"]))}
-        protocol = PumpProtocol(
-            "experimental", float(freq("j_max_mhz", base["j_max"])), float(freq("delta0_mhz", base["delta0"])),
-            0.0, float(grids["period"][0]), int(section.get("n_cycles", base["n_cycles"])),
-        )
-        chain = ChainSpec(n_sites)
-    elif kind == "topt_collapse":
-        base = defaults.TOPT_COLLAPSE_SWEEP
-        n_sites = int(section.get("n_sites", base["n_sites"]))
-        grids = {"j_max": np.atleast_1d(freq("j_max_mhz", base["j_max"])),
-                 "delta0": np.atleast_1d(freq("delta0_mhz", base["delta0"]))}
-        protocol = PumpProtocol(
-            "experimental", float(grids["j_max"][0]), float(grids["delta0"][0]),
-            0.0, 1.0, int(section.get("n_cycles", base["n_cycles"])),
-        )
-        chain = ChainSpec(n_sites)
-        scan = tuple(float(x) for x in times("scan_grid_us", base["scan_grid"]))
-        return SweepSpec(kind, chain, protocol, grids, scan_grid=scan,
-                         start_cell=int(section.get("start_cell", 1)),
-                         branch=section.get("branch", "lower"), dt=dt, jobs=jobs)
-    elif kind == "mean_position":
-        base = defaults.MEAN_POSITION_SWEEP
-        n_cells = int(section.get("n_cells", base["n_cells"]))
-        chain = ChainSpec(2 * n_cells)
-        protocol = PumpProtocol(
-            "experimental", float(freq("j_max_mhz", base["j_max"])), float(freq("delta0_mhz", base["delta0"])),
-            0.0, 1.0, int(section.get("n_cycles", base["n_cycles"])),
-        )
-        if "period_us" in section:
-            period_grid = np.atleast_1d(times("period_us", None))
-        else:
-            t_opt = predict_optimal_period(protocol)
-            span = float(section.get("span_factor", base["span_factor"]))
-            period_grid = np.geomspace(t_opt / span, t_opt * span,
-                                       int(section.get("n_periods", base["n_periods"])))
-        grids = {"period": period_grid}
-    elif kind == "size":
-        base = defaults.SIZE_SWEEP
-        grids = {"n_sites": np.atleast_1d(np.asarray(section.get("sizes", base["sizes"]), dtype=int)),
-                 "period": np.atleast_1d(times("period_us", base["period"]))}
-        protocol = PumpProtocol(
-            "experimental", float(freq("j_max_mhz", base["j_max"])), float(freq("delta0_mhz", base["delta0"])),
-            0.0, float(grids["period"][0]), int(section.get("n_cycles", base["n_cycles"])),
-        )
-        chain = ChainSpec(int(grids["n_sites"][0]))
-        return SweepSpec(kind, chain, protocol, grids,
-                         center_sizes=tuple(int(n) for n in section.get("center_sizes", base["center_sizes"])),
-                         start_cell=int(section.get("start_cell", 1)),
-                         branch=section.get("branch", "lower"), dt=dt, jobs=jobs)
-    else:
+    if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    return SweepSpec(kind, chain, protocol, grids,
-                     start_cell=int(section.get("start_cell", 1)),
-                     branch=section.get("branch", "lower"), dt=dt, jobs=jobs)
+    base, axis_names, _, _ = _KINDS[kind]
+    section = dict(section or {})
 
+    def read(name):
+        key, factor = _SECTION_KEYS[name]
+        if key not in section:
+            return np.asarray(base[name])
+        return factor * np.asarray(section[key], dtype=type(factor))
 
-def _axis_rows(result: SweepResult):
-    """Row-major cartesian product of axis values, matching values rows."""
-    grids = [np.asarray(result.axes[name]) for name in result.axis_names]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    def first(name):
+        return float(grids[name][0]) if name in grids else float(read(name))
+
+    def get(key):
+        return section.get(key, base[key])
+
+    try:
+        # mean_position's default window sits around the predicted optimum
+        window = kind == "mean_position" and "period_us" not in section
+        grids = {} if window else {name: np.atleast_1d(read(name)) for name in axis_names}
+        if kind == "mean_position":
+            n_sites = 2 * int(get("n_cells"))
+        else:
+            n_sites = int(grids["n_sites"][0]) if "n_sites" in grids else int(get("n_sites"))
+        protocol = PumpProtocol("experimental", first("j_max"), first("delta0"),
+                                period=first("period") if "period" in base else 1.0,
+                                n_cycles=int(get("n_cycles")))
+        if window:
+            t_pred = predict_optimal_period(protocol)
+            span = float(get("span_factor"))
+            grids["period"] = np.geomspace(t_pred / span, t_pred * span, int(get("n_periods")))
+        scan_grid = read("scan_grid") if "scan_grid" in base else ()
+        center_sizes = get("center_sizes") if "center_sizes" in base else ()
+        return SweepSpec(kind, ChainSpec(n_sites), protocol, grids,
+                         scan_grid=tuple(float(x) for x in scan_grid),
+                         center_sizes=tuple(int(n) for n in center_sizes),
+                         start_cell=int(section.get("start_cell", 1)),
+                         branch=section.get("branch", "lower"), dt=dt, jobs=jobs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sweep section: {exc}") from exc
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
@@ -358,10 +249,9 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
         joined = ",".join(repr(float(v)) for v in result.axes[name])
         lines.append(f"# axis {name}: {joined}")
     lines.append("# columns: " + ",".join(result.axis_names + result.columns))
-    coords = _axis_rows(result)
-    for row_coords, row_values in zip(coords, result.values):
-        cells = [repr(float(v)) for v in row_coords] + [repr(float(v)) for v in row_values]
-        lines.append(",".join(cells))
+    points = itertools.product(*(result.axes[name] for name in result.axis_names))
+    for point, row in zip(points, result.values):
+        lines.append(",".join(repr(float(v)) for v in (*point, *row)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -387,8 +277,6 @@ def ripple_frequency(periods: np.ndarray, efficiencies: np.ndarray) -> float:
     steps = np.diff(periods)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("ripple analysis needs a uniform period grid")
-    from .spectrum import smooth_moving_average
-
     window = (periods[-1] - periods[0]) / 6.0
     detrended = efficiencies - smooth_moving_average(periods, efficiencies, window)
     tapered = detrended * np.hanning(len(detrended))

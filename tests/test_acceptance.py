@@ -48,12 +48,7 @@ from ricemele.spectrum import (
     predict_optimal_period,
     smooth_moving_average,
 )
-from ricemele.sweeps import (
-    SweepSpec,
-    run_mean_position,
-    run_protocol_compare,
-    run_topt_collapse,
-)
+from ricemele.sweeps import SweepSpec, run_sweep
 
 
 def _verdict(log: list, number: int, ok: bool, detail: str) -> str:
@@ -172,7 +167,7 @@ def test_criterion_03_optimal_period_existence_and_law(verdict_log):
     template = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 1.0, 2)
     grid = np.linspace(0.1, 6.0, 60)
     spec = SweepSpec("protocol_compare", chain, template, {"period": grid}, jobs=4)
-    result = run_protocol_compare(spec)
+    result = run_sweep(spec)
     window = TWO_PI / template.delta0
     experimental = smooth_moving_average(grid, result.values[:, 0], window)
     control_freak = smooth_moving_average(grid, result.values[:, 1], window)
@@ -219,7 +214,7 @@ def test_criterion_04_optimal_period_collapse(verdict_log):
         scan_grid=(),
         jobs=4,
     )
-    result = run_topt_collapse(spec)
+    result = run_sweep(spec)
     inverse_width = result.values[:, 0]
     t_opt = result.values[:, 1]
     pearson = float(np.corrcoef(inverse_width, t_opt)[0, 1])
@@ -247,7 +242,7 @@ def test_criterion_05_quantized_transport(verdict_log):
     t_pred = predict_optimal_period(template)
     periods = np.geomspace(t_pred / 2.0, t_pred * 2.0, 9)
     spec = SweepSpec("mean_position", chain, template, {"period": periods}, jobs=4)
-    result = run_mean_position(spec)
+    result = run_sweep(spec)
     shifts = result.values[:, 0]
     sigmas = result.values[:, 1]
 

@@ -278,6 +278,21 @@ def test_stirap_invalid_width_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, command, named", [
+    ({"sweep": {"kind": "offset", "n_sites": 0}}, ["sweep", "offset"], "n_sites must be positive"),
+    ({"sweep": {"kind": "offset", "delta_offset_mhz": [1.0, 1.0]}}, ["sweep", "offset"],
+     "axis 'delta_offset' must be strictly monotone"),
+    ({**SIM_CONFIG, "protocol": {**SIM_CONFIG["protocol"], "j_max_mhz": float("nan")}}, ["simulate"],
+     "j_max must be positive and finite, got nan"),
+    ({**SIM_CONFIG, "evolution": {"dt_us": float("nan")}}, ["simulate"], "dt must be positive and finite, got nan"),
+], ids=["sweep-n_sites", "sweep-axis", "protocol-nan", "evolution-nan"])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
+    cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
+    assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["--config", missing, "simulate"]) == 4

@@ -69,6 +69,13 @@ def test_evolve_requires_normalized_matching_state():
         evolve(CHAIN, PROTO, np.array([1.0, 0.0, 0.0], dtype=complex), EvolutionConfig(dt=0.01))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["dt", "convergence_tol"])
+def test_evolution_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        EvolutionConfig(**{name: value})
+
+
 def test_dt_halving_moves_populations_below_tolerance():
     coarse = evolve(CHAIN, PROTO, start_state(), EvolutionConfig(dt=PROTO.period / 4096, store_states=False))
     fine = evolve(CHAIN, PROTO, start_state(), EvolutionConfig(dt=PROTO.period / 8192, store_states=False))

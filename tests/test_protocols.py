@@ -33,6 +33,13 @@ def test_validation_rejects_bad_parameters():
         PumpProtocol("experimental", J0, D0, n_cycles=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["j_max", "delta0", "delta_offset", "period"])
+def test_validation_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        PumpProtocol("experimental", **{"j_max": J0, "delta0": D0, name: value})
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_both_kinds_start_dimerized(kind):
     point = sample_trajectory(proto(kind), 0.0)

@@ -1,27 +1,23 @@
 """Sweep drivers: grids, parallel dispatch, serialization, ripple analysis."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ricemele.config import config_hash
+from ricemele.evolution import EvolutionConfig, evolve, initial_dimer_state, mean_position_and_spread
 from ricemele.model import TWO_PI, ChainSpec
-from ricemele.protocols import PumpProtocol
-from ricemele.spectrum import efficiency_vs_period, max_band_width
+from ricemele.protocols import PumpProtocol, sample_trajectory
+from ricemele.spectrum import efficiency_vs_period, find_optimal_period, max_band_width, transport_efficiency
 from ricemele.sweeps import (
+    KINDS,
     SweepResult,
     SweepSpec,
-    _efficiency_case,
-    _mean_position_case,
     build_sweep_spec,
     ripple_frequency,
-    run_mean_position,
-    run_offset_sweep,
-    run_protocol_compare,
-    run_size_sweep,
     run_sweep,
-    run_topt_collapse,
     write_sweep_csv,
     write_sweep_json,
 )
@@ -73,8 +69,15 @@ def test_config_hash_ignores_jobs():
     assert a.to_dict() == b.to_dict()
 
 
+def mean_position_reference(chain, proto, start_cell, dt):
+    psi0 = initial_dimer_state(chain, sample_trajectory(proto, 0.0), start_cell)
+    final = evolve(chain, proto, psi0, EvolutionConfig(dt=dt, store_states=False)).final_state
+    mean, spread = mean_position_and_spread(final, chain)
+    return (mean - start_cell, spread)
+
+
 def test_offset_sweep_rows_and_metadata():
-    result = run_offset_sweep(offset_spec())
+    result = run_sweep(offset_spec())
     assert result.axis_names == ("delta0", "delta_offset")
     assert result.columns == ("efficiency",)
     assert result.values.shape == (4, 1)
@@ -84,35 +87,84 @@ def test_offset_sweep_rows_and_metadata():
     assert len(result.metadata["config_sha256"]) == 64
 
 
-def test_parallel_matches_serial_exactly():
-    serial = run_offset_sweep(offset_spec(jobs=1))
-    parallel = run_offset_sweep(offset_spec(jobs=2))
+def compare_spec(jobs=1):
+    protocol = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 1.0, 1)
+    return SweepSpec("protocol_compare", CHAIN, protocol, {"period": np.array([0.4, 0.9, 1.6])},
+                     dt=0.002, jobs=jobs)
+
+
+@pytest.mark.parametrize("make_spec", [offset_spec, compare_spec], ids=["offset", "protocol_compare"])
+def test_parallel_matches_serial_exactly(make_spec):
+    serial = run_sweep(make_spec(jobs=1))
+    parallel = run_sweep(make_spec(jobs=2))
     assert np.array_equal(serial.values, parallel.values)
     assert serial.metadata == parallel.metadata
 
 
-def test_run_sweep_dispatch_matches_runner():
-    via_dispatch = run_sweep(offset_spec())
-    direct = run_offset_sweep(offset_spec())
-    assert np.array_equal(via_dispatch.values, direct.values)
+# kind -> (spec chain, axes, center_sizes, the (chain, protocol, start cell) of each
+# of the two grid points in row-major order). The protocol template is PROTO.
+SCAN = tuple(np.linspace(0.3, 1.8, 16))
+POINTS = {
+    "offset": (CHAIN, {"delta0": [TWO_PI * 4.0], "delta_offset": [-TWO_PI, TWO_PI]}, (), [
+        (CHAIN, replace(PROTO, delta_offset=-TWO_PI), 1),
+        (CHAIN, replace(PROTO, delta_offset=TWO_PI), 1)]),
+    "period_delta": (CHAIN, {"period": [0.4], "delta0": [TWO_PI * 5.0, TWO_PI * 6.0]}, (), [
+        (CHAIN, replace(PROTO, period=0.4, delta0=TWO_PI * 5.0), 1),
+        (CHAIN, replace(PROTO, period=0.4, delta0=TWO_PI * 6.0), 1)]),
+    "protocol_compare": (CHAIN, {"period": [0.4, 0.6]}, (), [
+        (CHAIN, replace(PROTO, period=0.4), 1),
+        (CHAIN, replace(PROTO, period=0.6), 1)]),
+    "topt_collapse": (CHAIN, {"j_max": [TWO_PI * 1.5], "delta0": [TWO_PI * 5.0, TWO_PI * 7.0]}, (), [
+        (CHAIN, replace(PROTO, j_max=TWO_PI * 1.5, delta0=TWO_PI * 5.0), 1),
+        (CHAIN, replace(PROTO, j_max=TWO_PI * 1.5, delta0=TWO_PI * 7.0), 1)]),
+    "mean_position": (ChainSpec(6), {"period": [0.4, 0.6]}, (), [
+        (ChainSpec(6), replace(PROTO, period=0.4), 2),
+        (ChainSpec(6), replace(PROTO, period=0.6), 2)]),
+    "size": (CHAIN, {"n_sites": [5, 7], "period": [0.5]}, (7,), [
+        (ChainSpec(5), PROTO, 1),
+        (ChainSpec(7), PROTO, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_run_sweep_matches_point_by_point_reference(kind):
+    chain, axes, center_sizes, points = POINTS[kind]
+    dt = 0.005
+    spec = SweepSpec(kind, chain, PROTO, {k: np.asarray(v) for k, v in axes.items()},
+                     scan_grid=SCAN if kind == "topt_collapse" else (), center_sizes=center_sizes, dt=dt)
+    expected = []
+    for point_chain, proto, start in points:
+        if kind == "topt_collapse":
+            row = (1.0 / max_band_width(proto), find_optimal_period(point_chain, proto, np.asarray(SCAN), None, start))
+        elif kind == "mean_position":
+            row = mean_position_reference(point_chain, proto, start, dt)
+        elif kind == "protocol_compare":
+            row = tuple(transport_efficiency(point_chain, replace(proto, kind=k), start, "lower", dt)
+                        for k in ("experimental", "control_freak"))
+        else:
+            row = (transport_efficiency(point_chain, proto, start, "lower", dt),)
+        expected.append(row)
+    result = run_sweep(spec)
+    assert result.values.shape == (2, len(result.columns))
+    assert np.array_equal(result.values, np.array(expected))
+
+
+def test_run_sweep_names_missing_and_unexpected_axes():
+    spec = SweepSpec("offset", CHAIN, PROTO, axes={"delta0": np.array([TWO_PI * 4.0]), "period": np.array([0.5])})
+    with pytest.raises(ValueError, match=r"missing \['delta_offset'\], unexpected \['period'\]"):
+        run_sweep(spec)
 
 
 def test_protocol_compare_pairs_columns():
-    spec = SweepSpec(
-        kind="protocol_compare",
-        chain=CHAIN,
-        protocol=PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 1.0, 1),
-        axes={"period": np.array([0.4, 0.9, 1.6])},
-        dt=0.002,
-    )
-    result = run_protocol_compare(spec)
+    spec = compare_spec()
+    result = run_sweep(spec)
     assert result.columns == ("experimental", "control_freak")
     assert result.values.shape == (3, 2)
     for i, period in enumerate(spec.axes["period"]):
         for j, kind in enumerate(result.columns):
             proto = PumpProtocol(kind, spec.protocol.j_max, spec.protocol.delta0,
                                  0.0, float(period), 1)
-            expected = _efficiency_case(CHAIN, proto, 1, "lower", 0.002)[0]
+            expected = transport_efficiency(CHAIN, proto, 1, "lower", 0.002)
             assert result.values[i, j] == expected
 
 
@@ -125,11 +177,11 @@ def test_mean_position_uses_center_start():
         axes={"period": np.array([0.5, 1.0])},
         dt=0.005,
     )
-    result = run_mean_position(spec)
+    result = run_sweep(spec)
     assert result.columns == ("shift", "sigma")
     assert result.values.shape == (2, 2)
     proto = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 0.5, 1)
-    expected = _mean_position_case(chain, proto, 2, "lower", 0.005)
+    expected = mean_position_reference(chain, proto, 2, 0.005)
     assert tuple(result.values[0]) == expected
     assert np.all(result.values[:, 1] >= 0.0)
 
@@ -143,13 +195,13 @@ def test_size_sweep_centers_selected_sizes():
         center_sizes=(7,),
         dt=0.005,
     )
-    result = run_size_sweep(spec)
+    result = run_sweep(spec)
     assert result.values.shape == (4, 1)
     proto = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 0.5, 1)
     # size 7 has 4 cells, so its start cell is the center cell 2
-    expected = _efficiency_case(ChainSpec(7), proto, 2, "lower", 0.005)[0]
+    expected = transport_efficiency(ChainSpec(7), proto, 2, "lower", 0.005)
     assert result.values[2, 0] == expected
-    edge = _efficiency_case(ChainSpec(5), proto, 1, "lower", 0.005)[0]
+    edge = transport_efficiency(ChainSpec(5), proto, 1, "lower", 0.005)
     assert result.values[0, 0] == edge
 
 
@@ -162,7 +214,7 @@ def test_topt_collapse_scan_grid_validation():
         scan_grid=tuple(np.linspace(0.5, 2.0, 8)),
     )
     with pytest.raises(ValueError):
-        run_topt_collapse(spec)
+        run_sweep(spec)
 
 
 def test_topt_collapse_auto_grid_brackets_prediction():
@@ -173,7 +225,7 @@ def test_topt_collapse_auto_grid_brackets_prediction():
         protocol=template,
         axes={"j_max": np.array([template.j_max]), "delta0": np.array([template.delta0])},
     )
-    result = run_topt_collapse(spec)
+    result = run_sweep(spec)
     assert result.columns == ("inv_band_width", "t_opt")
     inv_width, t_opt = result.values[0]
     width = max_band_width(template)
@@ -218,7 +270,7 @@ def test_build_sweep_spec_defaults_exist_for_every_kind():
 
 
 def test_write_sweep_csv_layout_and_round_trip(tmp_path):
-    result = run_offset_sweep(offset_spec())
+    result = run_sweep(offset_spec())
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, str(path))
     lines = path.read_text().splitlines()
@@ -237,7 +289,7 @@ def test_write_sweep_csv_layout_and_round_trip(tmp_path):
 
 
 def test_write_sweep_json_round_trip(tmp_path):
-    result = run_offset_sweep(offset_spec())
+    result = run_sweep(offset_spec())
     path = tmp_path / "sweep.json"
     write_sweep_json(result, str(path))
     text = path.read_text()
