@@ -6,7 +6,7 @@ excitation spectra, parameter sweeps, multi-tone rf waveform synthesis
 with Autler-Townes calibration, and time-of-flight readout unmixing.
 
 Units: angular frequencies in rad/us, times in us, hbar = 1. Config
-files use plain MHz; multiply by 2*pi on ingest (defaults.mhz).
+files use plain MHz, which config.read multiplies by 2*pi on ingest.
 """
 
 from .evolution import (
@@ -66,7 +66,6 @@ from .spectrum import (
     instantaneous_spectrum,
     max_band_width,
     predict_optimal_period,
-    pump_efficiency,
 )
 from .sweeps import (
     SweepResult,
@@ -119,7 +118,6 @@ __all__ = [
     "mean_position_and_spread",
     "predict_optimal_period",
     "propagate_step",
-    "pump_efficiency",
     "required_programmed_amplitude",
     "ripple_frequency",
     "run_sweep",

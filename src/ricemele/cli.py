@@ -16,13 +16,14 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import config as cfgmod
 from . import defaults, evolution, readout, rfwave, spectrum, sweeps
-from .config import ConfigError, canonical_json
-from .model import TWO_PI, ChainSpec
+from .config import ConfigError, read, section, write_json
+from .model import TWO_PI
 from .protocols import classify_regime, sample_trajectory, winding_number
 
 EXIT_OK = 0
@@ -30,6 +31,8 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_RUNTIME = 5
+
+_floats = partial(np.asarray, dtype=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,29 +81,29 @@ def _resolved_common(cfg, chain, protocol, evo) -> dict:
     }
 
 
-def _write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload) + "\n")
+def _downsampled(times, rows) -> tuple:
+    """About 512 evenly strided samples of a record, always with the last one."""
+    stride = max(1, (len(times) - 1) // 512)
+    keep = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
+    return [float(times[i]) for i in keep], [[float(x) for x in rows[i]] for i in keep]
 
 
 def _cmd_simulate(args, cfg) -> int:
     chain = cfgmod.resolve_chain(cfg)
     protocol = cfgmod.resolve_protocol(cfg)
     evo = cfgmod.resolve_evolution(cfg, args.dt)
-    section = cfg.get("simulate", {})
-    start_cell = int(section.get("start_cell", defaults.START_CELL))
-    branch = section.get("branch", defaults.BRANCH)
-    psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
+    with section(cfg, "simulate") as values:
+        start_cell = read(values, "start_cell", defaults.START_CELL, int)
+        branch = read(values, "branch", defaults.BRANCH, str)
+        psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
     record = evolution.evolve(chain, protocol, psi0, evo)
-    pops = record.cell_population_table()
-    stride = max(1, (len(record.times) - 1) // 512)
-    keep = list(range(0, len(record.times) - 1, stride)) + [len(record.times) - 1]
+    times, pops = _downsampled(record.times, record.cell_population_table())
     winding, on_boundary = winding_number(protocol)
     payload = {
         "config": {**_resolved_common(cfg, chain, protocol, evo),
                    "simulate": {"start_cell": start_cell, "branch": branch}},
-        "times_us": [float(record.times[i]) for i in keep],
-        "cell_populations": [[float(x) for x in pops[i]] for i in keep],
+        "times_us": times,
+        "cell_populations": pops,
         "final_site_populations": [float(abs(a) ** 2) for a in record.final_state],
         "transfer_efficiency": evolution.transfer_efficiency(record),
         "winding_number": winding,
@@ -108,24 +111,25 @@ def _cmd_simulate(args, cfg) -> int:
         "regime": classify_regime(protocol),
     }
     path = os.path.join(_out_dir(args, cfg), "simulate.json")
-    _write_json(payload, path)
+    write_json(payload, path)
     print(path)
     return EXIT_OK
 
 
 def _cmd_sweep(args, cfg) -> int:
-    section = dict(cfg.get("sweep", {}))
-    kind = section.pop("kind", None) or args.kind
-    if kind != args.kind:
-        raise ConfigError(f"config sweep kind {kind!r} conflicts with argument {args.kind!r}")
-    spec = sweeps.build_sweep_spec(args.kind, section, jobs=max(1, args.jobs), dt=args.dt)
+    with section(cfg, "sweep") as values:
+        values = dict(values)
+        kind = values.pop("kind", None) or args.kind
+        if kind != args.kind:
+            raise ConfigError(f"config sweep kind {kind!r} conflicts with argument {args.kind!r}")
+        spec = sweeps.build_sweep_spec(args.kind, values, jobs=max(1, args.jobs), dt=args.dt)
     result = sweeps.run_sweep(spec)
     out = _out_dir(args, cfg)
     base = os.path.join(out, f"sweep_{args.kind}")
     sweeps.write_sweep_csv(result, base + ".csv")
-    embedded = {"sweep": {"kind": args.kind, **section}, "resolved": spec.to_dict(),
+    embedded = {"sweep": {"kind": args.kind, **values}, "resolved": spec.to_dict(),
                 "metadata": result.metadata}
-    _write_json(embedded, base + "_config.json")
+    write_json(embedded, base + "_config.json")
     sweeps.write_sweep_json(result, base + ".json")
     print(base + ".csv")
     return EXIT_OK
@@ -134,37 +138,38 @@ def _cmd_sweep(args, cfg) -> int:
 def _cmd_spectrum(args, cfg) -> int:
     chain = cfgmod.resolve_chain(cfg)
     protocol = cfgmod.resolve_protocol(cfg)
-    section = cfg.get("spectrum", {})
-    out = _out_dir(args, cfg)
-    if args.mode == "instantaneous":
-        n_times = int(section.get("n_times", defaults.SPECTRUM_N_TIMES))
-        track = spectrum.instantaneous_spectrum(chain, protocol, n_times)
-        path = os.path.join(out, "spectrum_instantaneous.csv")
-        spectrum.write_spectrum_csv(track, path)
-    else:
-        probe = int(section.get("probe_site", defaults.PROBE_SITE))
-        linewidth = TWO_PI * float(section.get("linewidth_mhz", defaults.LINEWIDTH / TWO_PI))
-        point = sample_trajectory(protocol, float(section.get("probe_time_us", 0.0)))
-        span = float(section.get("detuning_span_mhz", 3.0 * protocol.j_max / TWO_PI + 2.0))
-        n_det = int(section.get("n_detunings", 1201))
-        grid = TWO_PI * np.linspace(-span, span, n_det)
-        es = spectrum.excitation_spectrum(chain, point, probe, linewidth, grid)
-        path = os.path.join(out, "spectrum_excitation.csv")
-        spectrum.write_excitation_csv(es, path)
+    with section(cfg, "spectrum") as values:
+        if args.mode == "instantaneous":
+            name, write = "spectrum_instantaneous.csv", spectrum.write_spectrum_csv
+            result = spectrum.instantaneous_spectrum(
+                chain, protocol, read(values, "n_times", defaults.SPECTRUM_N_TIMES, int))
+        else:
+            probe = read(values, "probe_site", defaults.PROBE_SITE, int)
+            linewidth = read(values, "linewidth_mhz", defaults.LINEWIDTH)
+            point = sample_trajectory(protocol, read(values, "probe_time_us", 0.0))
+            # laid out in MHz, then scaled: each point is 2*pi times an even MHz step
+            span = float(values.get("detuning_span_mhz", 3.0 * protocol.j_max / TWO_PI + 2.0))
+            grid = TWO_PI * np.linspace(-span, span, read(values, "n_detunings", 1201, int))
+            name, write = "spectrum_excitation.csv", spectrum.write_excitation_csv
+            result = spectrum.excitation_spectrum(chain, point, probe, linewidth, grid)
+    path = os.path.join(_out_dir(args, cfg), name)
+    write(result, path)
     print(path)
     return EXIT_OK
 
 
 def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
-    sites = tuple(int(s) for s in entry.get("sites", (1, 2)))
-    carrier = float(entry["carrier_mhz"])
-    alpha = TWO_PI * float(entry.get("alpha_mhz_per_v2", defaults.WAVEFORM["alpha"] / TWO_PI))
-    phase = float(entry.get("phase_rad", 0.0))
+    sites = read(entry, "sites", (1, 2), lambda v: tuple(map(int, v)))
+    # the carrier is a field frequency, kept in MHz: the one _mhz key not scaled
+    # by 2*pi; an absent carrier reads 0, which ToneSchedule rejects
+    carrier = float(entry.get("carrier_mhz", 0.0))
+    alpha = read(entry, "alpha_mhz_per_v2", defaults.WAVEFORM["alpha"])
+    phase = read(entry, "phase_rad", 0.0)
     if "bond" in entry:
         bond = int(entry["bond"])
         if bond not in (1, 2):
-            raise ConfigError("tone bond must be 1 or 2")
-        sign = float(entry.get("detuning_sign", 1.0))
+            raise ValueError("tone bond must be 1 or 2")
+        sign = read(entry, "detuning_sign", 1.0)
 
         def rabi(t, _b=bond):
             j1, j2, _ = sample_trajectory(protocol, np.asarray(t) % protocol.duration)
@@ -175,29 +180,29 @@ def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
             return 2.0 * _s * delta
 
         return rfwave.ToneSchedule(sites, carrier, rabi, detuning, alpha, phase)
-    rabi = TWO_PI * float(entry.get("rabi_mhz", 0.0))
-    detuning = TWO_PI * float(entry.get("detuning_mhz", 0.0))
-    return rfwave.ToneSchedule(sites, carrier, rabi, detuning, alpha, phase)
+    return rfwave.ToneSchedule(sites, carrier, read(entry, "rabi_mhz", 0.0), read(entry, "detuning_mhz", 0.0),
+                               alpha, phase)
 
 
 def _cmd_waveform(args, cfg) -> int:
     protocol = cfgmod.resolve_protocol(cfg)
-    section = cfg.get("waveform", {})
-    entries = section.get("tones")
-    if not entries:
-        raise ConfigError("waveform synth needs a non-empty waveform.tones list")
-    tones = [_tone_from_section(e, protocol) for e in entries]
-    duration = float(section.get("duration_us", defaults.WAVEFORM["duration"]))
-    rate = float(section.get("sample_rate_per_us", defaults.WAVEFORM["sample_rate"]))
-    bits = int(section.get("bits", defaults.WAVEFORM["bits"]))
-    buffer = rfwave.synthesize_waveform(tones, duration, rate, bits)
+    with section(cfg, "waveform") as values:
+        entries = values.get("tones")
+        if not entries:
+            raise ConfigError("waveform synth needs a non-empty waveform.tones list")
+        tones = [_tone_from_section(e, protocol) for e in entries]
+        duration = read(values, "duration_us", defaults.WAVEFORM["duration"])
+        buffer = rfwave.synthesize_waveform(tones, duration,
+                                            read(values, "sample_rate_per_us", defaults.WAVEFORM["sample_rate"]),
+                                            read(values, "bits", defaults.WAVEFORM["bits"], int))
+        purity = rfwave.spectral_purity_table(tones, duration)
+        csv_dump = read(values, "csv_dump", False, bool)
     out = _out_dir(args, cfg)
     bin_path = os.path.join(out, "waveform.bin")
     rfwave.write_waveform_binary(buffer, bin_path)
-    purity = rfwave.spectral_purity_table(tones, duration)
-    _write_json(
+    write_json(
         {
-            "config": {"protocol": cfgmod.protocol_to_dict(protocol), "waveform": section},
+            "config": {"protocol": cfgmod.protocol_to_dict(protocol), "waveform": values},
             "n_samples": len(buffer.samples),
             "bits": buffer.bits,
             "sample_rate_per_us": buffer.sample_rate,
@@ -206,85 +211,77 @@ def _cmd_waveform(args, cfg) -> int:
         },
         os.path.join(out, "waveform.json"),
     )
-    if bool(section.get("csv_dump", False)):
+    if csv_dump:
         rfwave.write_waveform_csv(buffer, os.path.join(out, "waveform.csv"))
     print(bin_path)
     return EXIT_OK
 
 
-def _readout_model(section) -> tuple:
+def _readout_basis(values) -> readout.BasisSet:
     base = defaults.READOUT
     model = readout.IonizationModel(
-        ramp_times=np.asarray(section.get("ramp_times_us", base["ramp_times"]), dtype=float),
-        ramp_fields=np.asarray(section.get("ramp_fields_v_per_cm", base["ramp_fields"]), dtype=float),
-        sigma_t=float(section.get("sigma_t_us", base["sigma_t"])),
-        t0=float(section.get("t0_us", base["t0"])),
+        ramp_times=read(values, "ramp_times_us", base["ramp_times"], _floats),
+        ramp_fields=read(values, "ramp_fields_v_per_cm", base["ramp_fields"], _floats),
+        sigma_t=read(values, "sigma_t_us", base["sigma_t"]),
+        t0=read(values, "t0_us", base["t0"]),
     )
-    lo, hi, n = section.get("grid", base["grid"])
+    lo, hi, n = read(values, "grid", base["grid"], tuple)
     grid = np.linspace(float(lo), float(hi), int(n))
-    labels = tuple(section.get("labels", base["labels"]))
-    n_eff = tuple(float(x) for x in section.get("n_eff", base["n_eff"]))
-    basis = readout.make_basis(labels, n_eff, model, grid)
-    return model, basis
+    return readout.make_basis(read(values, "labels", base["labels"], tuple),
+                              read(values, "n_eff", base["n_eff"], _floats), model, grid)
 
 
 def _cmd_readout(args, cfg) -> int:
-    section = dict(cfg.get("readout", {}))
-    seed = args.seed if args.seed is not None else int(section.get("seed", defaults.READOUT["seed"]))
-    _, basis = _readout_model(section)
+    with section(cfg, "readout") as values:
+        seed = args.seed if args.seed is not None else read(values, "seed", defaults.READOUT["seed"], int)
+        basis = _readout_basis(values)
+        if args.action == "synth":
+            weights = read(values, "weights", [1.0] + [0.0] * (len(basis.labels) - 1), _floats)
+            trace = readout.synthesize_trace(weights, basis, read(values, "noise", defaults.READOUT["noise"]), seed)
+        else:
+            trace_path = read(values, "trace_path", "", str)
+            if not trace_path:
+                raise ConfigError("readout decompose needs readout.trace_path")
+            weights, residual = readout.decompose_trace(
+                readout.read_trace_csv(trace_path), basis, normalize=read(values, "normalize", True, bool))
     out = _out_dir(args, cfg)
     readout.write_basis_csv(basis, os.path.join(out, "basis.csv"))
+    report = {"config": {"readout": {**values, "seed": seed}}, "weights": [float(w) for w in weights]}
     if args.action == "synth":
-        weights = np.asarray(section.get("weights", [1.0] + [0.0] * (len(basis.labels) - 1)), dtype=float)
-        noise = float(section.get("noise", defaults.READOUT["noise"]))
-        trace = readout.synthesize_trace(weights, basis, noise, seed)
         path = os.path.join(out, "trace.csv")
         readout.write_trace_csv(trace, path)
-        _write_json({"config": {"readout": {**section, "seed": seed}},
-                     "weights": [float(w) for w in weights]},
-                    os.path.join(out, "trace_config.json"))
+        write_json(report, os.path.join(out, "trace_config.json"))
     else:
-        trace_path = section.get("trace_path")
-        if not trace_path:
-            raise ConfigError("readout decompose needs readout.trace_path")
-        trace = readout.read_trace_csv(trace_path)
-        weights, residual = readout.decompose_trace(
-            trace, basis, normalize=bool(section.get("normalize", True))
-        )
         path = os.path.join(out, "weights.json")
-        _write_json({"config": {"readout": {**section, "seed": seed}},
-                     "labels": list(basis.labels),
-                     "weights": [float(w) for w in weights],
-                     "residual_norm": residual}, path)
+        write_json({**report, "labels": list(basis.labels), "residual_norm": residual}, path)
     print(path)
     return EXIT_OK
 
 
 def _cmd_stirap(args, cfg) -> int:
-    section = cfg.get("stirap", {})
     base = defaults.STIRAP
-    peak = TWO_PI * float(section.get("peak_rabi_mhz", base["peak_rabi"] / TWO_PI))
-    duration = float(section.get("duration_us", base["duration"]))
-    width = float(section.get("width_us", base["width"]))
-    stokes_center = float(section.get("stokes_center_us", base["stokes_center"]))
-    pump_center = float(section.get("pump_center_us", base["pump_center"]))
-    pump = evolution.PulseSpec(peak, pump_center, width, bond=1)
-    stokes = evolution.PulseSpec(peak, stokes_center, width, bond=2)
+    with section(cfg, "stirap") as values:
+        peak = read(values, "peak_rabi_mhz", base["peak_rabi"])
+        duration = read(values, "duration_us", base["duration"])
+        width = read(values, "width_us", base["width"])
+        stokes_center = read(values, "stokes_center_us", base["stokes_center"])
+        pump_center = read(values, "pump_center_us", base["pump_center"])
+        pump = evolution.PulseSpec(peak, pump_center, width, bond=1)
+        stokes = evolution.PulseSpec(peak, stokes_center, width, bond=2)
     evo = cfgmod.resolve_evolution(cfg, args.dt)
     record = evolution.stirap_sequence(pump, stokes, duration, evo)
     pops = np.abs(record.states) ** 2
-    stride = max(1, (len(record.times) - 1) // 512)
-    keep = list(range(0, len(record.times) - 1, stride)) + [len(record.times) - 1]
+    times, site_pops = _downsampled(record.times, pops)
     payload = {
         "config": {"stirap": {
             "peak_rabi_mhz": peak / TWO_PI, "duration_us": duration, "width_us": width,
             "stokes_center_us": stokes_center, "pump_center_us": pump_center}},
-        "times_us": [float(record.times[i]) for i in keep],
-        "site_populations": [[float(x) for x in pops[i]] for i in keep],
+        "times_us": times,
+        "site_populations": site_pops,
         "final_populations": [float(x) for x in pops[-1]],
     }
     path = os.path.join(_out_dir(args, cfg), "stirap.json")
-    _write_json(payload, path)
+    write_json(payload, path)
     print(path)
     return EXIT_OK
 
@@ -311,7 +308,8 @@ def _cmd_validate(args, cfg) -> int:
     track = spectrum.instantaneous_spectrum(chain, protocol, 32)
     checks.append(("spectrum sorted ascending", bool(np.all(np.diff(track.eigenvalues, axis=1) >= -1e-12))))
 
-    _, basis = _readout_model(cfg.get("readout", {}))
+    with section(cfg, "readout") as values:
+        basis = _readout_basis(values)
     weights = np.zeros(len(basis.labels))
     weights[0] = 1.0
     trace = readout.synthesize_trace(weights, basis, 0.0)

@@ -1,23 +1,25 @@
-"""Config file ingestion and canonical serialization.
+"""The config file format: reading sections and writing text outputs.
 
-Config files are JSON. Frequencies are plain MHz in the file (keys end in
-_mhz) and become angular rad/us on ingest; times are us. Exactly one
-command section may be present. Every result file embeds the resolved
-config so a run can be reproduced from its own output.
+Config files are JSON. Values are read with ``read`` inside a ``section``
+block: a key with _mhz in its name is plain MHz and becomes rad/us, times
+stay us, and a bad value raises ConfigError naming its section. Every
+text output goes through ``write_lines`` or ``write_json``, and every
+result file embeds the resolved config so a run can be reproduced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
 
 from . import defaults
 from .evolution import EvolutionConfig
-from .model import TWO_PI, ChainSpec, default_cells
-from .protocols import KINDS, PumpProtocol
+from .model import TWO_PI, ChainSpec
+from .protocols import PumpProtocol
 
 
 class ConfigError(ValueError):
@@ -45,12 +47,8 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(pyify(obj), sort_keys=True, separators=(",", ":"))
 
 
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def config_hash(obj: Any) -> str:
-    return sha256_hex(canonical_json(obj))
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def load_config(path: str) -> dict:
@@ -74,56 +72,77 @@ def active_section(cfg: dict) -> str:
     return present[0]
 
 
+@contextmanager
+def section(cfg: dict, name: str):
+    """Yield cfg[name] ({} when absent); a TypeError or ValueError raised in
+    the block becomes ConfigError("bad <name> section: ...").
+
+    End the block before any evolution: LinAlgError is a ValueError too.
+    """
+    try:
+        values = cfg.get(name, {})
+        if not isinstance(values, dict):
+            raise TypeError(f"expected a JSON object, got {values!r}")
+        yield values
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
+def read(values: dict, key: str, default: Any, cast=float) -> Any:
+    """cast(values[key]) in program units, or cast(default) when key is absent.
+
+    The default is in program units already. A key with _mhz in its name
+    is plain MHz (or MHz per unit) and is multiplied by 2*pi into rad/us.
+    """
+    if key not in values:
+        return cast(default)
+    value = cast(values[key])
+    return TWO_PI * value if "_mhz" in key else value
+
+
 def resolve_chain(cfg: dict) -> ChainSpec:
-    section = dict(defaults.CHAIN)
-    section.update(cfg.get("chain", {}))
-    n_sites = int(section["n_sites"])
-    cells = section.get("cells")
-    if cells is None:
-        cells = default_cells(n_sites)
-    else:
-        cells = tuple(tuple(int(s) for s in cell) for cell in cells)
-    return ChainSpec(
-        n_sites=n_sites, cells=cells, delta_parity=int(section.get("delta_parity", 1))
-    )
+    with section(cfg, "chain") as values:
+        cells = values.get("cells") or ()  # none: dimer cells from site 1
+        return ChainSpec(n_sites=read(values, "n_sites", defaults.CHAIN["n_sites"], int),
+                         cells=tuple(tuple(int(s) for s in cell) for cell in cells),
+                         delta_parity=read(values, "delta_parity", defaults.CHAIN["delta_parity"], int))
 
 
 def resolve_protocol(cfg: dict) -> PumpProtocol:
-    section = cfg.get("protocol", {})
-    kind = section.get("kind", defaults.PROTOCOL["kind"])
-    if kind not in KINDS:
-        raise ConfigError(f"unknown protocol kind {kind!r}, expected one of {KINDS}")
-    try:
+    base = defaults.PROTOCOL
+    with section(cfg, "protocol") as values:
         return PumpProtocol(
-            kind=kind,
-            j_max=_freq(section, "j_max_mhz", defaults.PROTOCOL["j_max"]),
-            delta0=_freq(section, "delta0_mhz", defaults.PROTOCOL["delta0"]),
-            delta_offset=_freq(section, "delta_offset_mhz", defaults.PROTOCOL["delta_offset"]),
-            period=float(section.get("period_us", defaults.PROTOCOL["period"])),
-            n_cycles=int(section.get("n_cycles", defaults.PROTOCOL["n_cycles"])),
+            kind=read(values, "kind", base["kind"], str),
+            j_max=read(values, "j_max_mhz", base["j_max"]),
+            delta0=read(values, "delta0_mhz", base["delta0"]),
+            delta_offset=read(values, "delta_offset_mhz", base["delta_offset"]),
+            period=read(values, "period_us", base["period"]),
+            n_cycles=read(values, "n_cycles", base["n_cycles"], int),
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad protocol section: {exc}") from exc
 
 
 def resolve_evolution(cfg: dict, dt_override: float | None = None) -> EvolutionConfig:
-    section = cfg.get("evolution", {})
-    dt = dt_override if dt_override is not None else section.get("dt_us")
-    try:
+    with section(cfg, "evolution") as values:
+        dt = values.get("dt_us") if dt_override is None else dt_override
         return EvolutionConfig(
             dt=None if dt is None else float(dt),
-            adaptive_halving=bool(section.get("adaptive", False)),
-            convergence_tol=float(section.get("convergence_tol", 1e-6)),
-            store_states=bool(section.get("store_states", True)),
+            adaptive_halving=read(values, "adaptive", False, bool),
+            convergence_tol=read(values, "convergence_tol", 1e-6),
+            store_states=read(values, "store_states", True, bool),
         )
-    except ValueError as exc:
-        raise ConfigError(f"bad evolution section: {exc}") from exc
 
 
-def _freq(section: dict, key: str, fallback: float) -> float:
-    if key in section:
-        return TWO_PI * float(section[key])
-    return float(fallback)
+def write_lines(lines, path: str) -> None:
+    """Write text lines, each ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_json(payload: Any, path: str) -> None:
+    """Write payload as one line of canonical JSON."""
+    write_lines([canonical_json(payload)], path)
 
 
 def protocol_to_dict(protocol: PumpProtocol) -> dict:

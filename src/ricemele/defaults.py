@@ -2,7 +2,7 @@
 
 Every physical default used by the library, the sweep drivers, and the
 command-line tool lives here. Frequencies are stored in rad/us (angular);
-config files specify plain MHz and are converted on ingest with mhz().
+config files specify plain MHz, which config.read converts on ingest.
 All values are overridable through the config file.
 """
 

@@ -201,10 +201,14 @@ def cell_populations(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
     return np.abs(np.asarray(psi)) ** 2 @ np.eye(spec.n_cells)[owner]
 
 
-def transfer_efficiency(record: EvolutionRecord, spec: ChainSpec | None = None) -> float:
-    """Population of the last cell at the final time over total population."""
-    pops = cell_populations(record.final_state, record.spec if spec is None else spec)
-    return float(pops[-1] / pops.sum())
+def transfer_efficiency(record: EvolutionRecord, destination_cell: int | None = None) -> float:
+    """Population of a destination cell (default: the last) at the final time over total population."""
+    spec = record.spec
+    cell = spec.n_cells if destination_cell is None else destination_cell
+    if not 1 <= cell <= spec.n_cells:
+        raise ValueError("destination_cell out of range")
+    pops = cell_populations(record.final_state, spec)
+    return float(pops[cell - 1] / pops.sum())
 
 
 def mean_position_and_spread(psi: np.ndarray, spec: ChainSpec) -> tuple[float, float]:

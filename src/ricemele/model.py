@@ -102,15 +102,7 @@ def build_hamiltonian(spec: ChainSpec, point: ParameterPoint) -> np.ndarray:
     Diagonal alternates +delta/-delta by site parity; the bond (i, i+1)
     carries -J1 when intra-cell and -J2 when inter-cell.
     """
-    n = spec.n_sites
-    h = np.zeros((n, n))
-    idx = np.arange(n)
-    h[idx, idx] = point.delta * spec.site_signs()
-    if n > 1:
-        off = np.where(spec.intra_bonds(), -point.j1, -point.j2)
-        h[idx[:-1], idx[1:]] = off
-        h[idx[1:], idx[:-1]] = off
-    return h
+    return build_hamiltonians(spec, point.j1, point.j2, point.delta)[0]
 
 
 def build_hamiltonians(spec: ChainSpec, j1, j2, delta) -> np.ndarray:

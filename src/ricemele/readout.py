@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
+from .config import write_lines
+
 # E_h / (e a0) in V/cm
 ATOMIC_FIELD_V_PER_CM = 5.142e9
 
@@ -126,6 +128,8 @@ def synthesize_trace(
         raise ValueError("weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
+    if not 0.0 <= noise_amplitude < np.inf:
+        raise ValueError(f"noise_amplitude must be non-negative and finite, got {noise_amplitude!r}")
     current = weights @ basis.traces
     if noise_amplitude > 0.0:
         rng = np.random.default_rng(seed)
@@ -169,8 +173,7 @@ def decompose_trace(
 def write_trace_csv(trace: TofTrace, path: str) -> None:
     lines = ["time_us,current"]
     lines.extend(f"{float(t)!r},{float(c)!r}" for t, c in zip(trace.times, trace.current))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def read_trace_csv(path: str) -> TofTrace:
@@ -184,5 +187,4 @@ def write_basis_csv(basis: BasisSet, path: str) -> None:
     for i, t in enumerate(basis.times):
         row = [repr(float(t))] + [repr(float(v)) for v in basis.traces[:, i]]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)

@@ -16,6 +16,7 @@ from typing import Any
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .config import write_lines
 from .model import TWO_PI
 from .spectrum import find_spectral_peaks, lorentzian
 
@@ -256,5 +257,4 @@ def write_waveform_csv(buffer: WaveformBuffer, path: str) -> None:
     lines = [f"# rate_samples_per_us: {buffer.sample_rate!r}",
              f"# bits: {buffer.bits}", "# columns: index,code"]
     lines.extend(f"{i},{int(c)}" for i, c in enumerate(buffer.samples))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
+from .config import write_lines
 from .model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width, build_hamiltonian, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 from . import evolution
@@ -125,18 +126,6 @@ def predict_optimal_period(protocol: PumpProtocol, n_times: int = 512) -> float:
     return TWO_PI / width
 
 
-def pump_efficiency(record, spec: ChainSpec, destination_cell: int | None = None) -> float:
-    """Population of a destination cell at the final time over total population.
-
-    destination_cell defaults to the last cell, matching transfer_efficiency.
-    """
-    pops = evolution.cell_populations(record.final_state, spec)
-    cell = spec.n_cells if destination_cell is None else destination_cell
-    if not 1 <= cell <= spec.n_cells:
-        raise ValueError("destination_cell out of range")
-    return float(pops[cell - 1] / pops.sum())
-
-
 def transport_efficiency(spec: ChainSpec, protocol: PumpProtocol, start_cell: int = 1,
                          branch: str = "lower", dt: float | None = None) -> float:
     """Destination-cell efficiency after n_cycles from start_cell's dimer state.
@@ -146,7 +135,7 @@ def transport_efficiency(spec: ChainSpec, protocol: PumpProtocol, start_cell: in
     """
     psi0 = evolution.initial_dimer_state(spec, sample_trajectory(protocol, 0.0), start_cell, branch)
     record = evolution.evolve(spec, protocol, psi0, evolution.EvolutionConfig(dt=dt, store_states=False))
-    return pump_efficiency(record, spec, min(start_cell + protocol.n_cycles, spec.n_cells))
+    return evolution.transfer_efficiency(record, min(start_cell + protocol.n_cycles, spec.n_cells))
 
 
 def efficiency_vs_period(
@@ -213,8 +202,7 @@ def write_spectrum_csv(track: SpectrumTrack, path: str) -> None:
     lines = [header]
     for t, row in zip(track.times, track.eigenvalues):
         lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def write_excitation_csv(spectrum: ExcitationSpectrum, path: str) -> None:
@@ -225,8 +213,7 @@ def write_excitation_csv(spectrum: ExcitationSpectrum, path: str) -> None:
     ]
     for d, r in zip(spectrum.detunings, spectrum.response):
         lines.append(f"{float(d)!r},{float(r)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def finite_band_spread(spec: ChainSpec, point: ParameterPoint) -> float:

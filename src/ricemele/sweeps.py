@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import metadata as _metadata
 import itertools
 import multiprocessing as mp
@@ -19,7 +20,7 @@ import multiprocessing as mp
 import numpy as np
 
 from . import defaults, evolution, protocols
-from .config import ConfigError, canonical_json, chain_to_dict, config_hash, protocol_to_dict, pyify
+from .config import chain_to_dict, config_hash, protocol_to_dict, pyify, read, write_json, write_lines
 from .model import TWO_PI, ChainSpec
 from .protocols import PumpProtocol, sample_trajectory
 from .spectrum import (find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average,
@@ -91,6 +92,12 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}, expected one of {KINDS}")
+        # record what runs: mean_position starts in the center cell, and
+        # topt_collapse's period scans always step period / 4096
+        if self.kind == "mean_position":
+            object.__setattr__(self, "start_cell", (self.chain.n_cells + 1) // 2)
+        if self.kind == "topt_collapse":
+            object.__setattr__(self, "dt", None)
         for name, grid in self.axes.items():
             grid = np.asarray(grid)
             if grid.size == 0:
@@ -146,7 +153,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Each point is mapped onto the spec: an n_sites value replaces the chain
     (default cells), every other axis value the protocol field of its name.
-    mean_position and the center_sizes chains start in the center cell.
+    The center_sizes chains start in the center cell, the others in
+    spec.start_cell.
     """
     _, axis_names, columns, row = _KINDS[spec.kind]
     missing = [name for name in axis_names if name not in spec.axes]
@@ -161,8 +169,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if "n_sites" in point:
             chain = replace(chain, n_sites=int(point.pop("n_sites")), cells=())
         protocol = replace(spec.protocol, **{name: float(v) for name, v in point.items()})
-        centered = spec.kind == "mean_position" or chain.n_sites in spec.center_sizes
-        start_cell = (chain.n_cells + 1) // 2 if centered else spec.start_cell
+        start_cell = (chain.n_cells + 1) // 2 if chain.n_sites in spec.center_sizes else spec.start_cell
         tasks.append((row, (spec, chain, protocol, start_cell)))
     return SweepResult(
         kind=spec.kind,
@@ -178,15 +185,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
 
 
-# Sweep-section key of each grid field, and the factor from file units
-# (MHz, us) to program units (rad/us, us). An int factor reads integers.
+# Sweep-section key of each grid field and the type of its values. A key
+# with _mhz in its name is MHz, which config.read turns into rad/us.
 _SECTION_KEYS = {
-    "j_max": ("j_max_mhz", TWO_PI),
-    "delta0": ("delta0_mhz", TWO_PI),
-    "delta_offset": ("delta_offset_mhz", TWO_PI),
-    "period": ("period_us", 1.0),
-    "scan_grid": ("scan_grid_us", 1.0),
-    "n_sites": ("sizes", 1),
+    "j_max": ("j_max_mhz", float),
+    "delta0": ("delta0_mhz", float),
+    "delta_offset": ("delta_offset_mhz", float),
+    "period": ("period_us", float),
+    "scan_grid": ("scan_grid_us", float),
+    "n_sites": ("sizes", int),
 }
 
 
@@ -197,49 +204,42 @@ def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
     Section keys use file units: *_mhz lists/scalars for frequencies,
     *_us for times. The protocol takes the first value of each axis, and
     a kind without a default period (topt_collapse, mean_position) keeps
-    period 1.0. Invalid values raise ConfigError.
+    period 1.0. Invalid values raise TypeError or ValueError; read inside
+    config.section they become ConfigError.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     base, axis_names, _, _ = _KINDS[kind]
     section = dict(section or {})
 
-    def read(name):
-        key, factor = _SECTION_KEYS[name]
-        if key not in section:
-            return np.asarray(base[name])
-        return factor * np.asarray(section[key], dtype=type(factor))
+    def grid(name):
+        key, dtype = _SECTION_KEYS[name]
+        return read(section, key, base.get(name), partial(np.asarray, dtype=dtype))
 
     def first(name):
-        return float(grids[name][0]) if name in grids else float(read(name))
+        return float(grids[name][0]) if name in grids else float(grid(name))
 
-    def get(key):
-        return section.get(key, base[key])
+    def get(key, cast=int):
+        return read(section, key, base[key], cast)
 
-    try:
-        # mean_position's default window sits around the predicted optimum
-        window = kind == "mean_position" and "period_us" not in section
-        grids = {} if window else {name: np.atleast_1d(read(name)) for name in axis_names}
-        if kind == "mean_position":
-            n_sites = 2 * int(get("n_cells"))
-        else:
-            n_sites = int(grids["n_sites"][0]) if "n_sites" in grids else int(get("n_sites"))
-        protocol = PumpProtocol("experimental", first("j_max"), first("delta0"),
-                                period=first("period") if "period" in base else 1.0,
-                                n_cycles=int(get("n_cycles")))
-        if window:
-            t_pred = predict_optimal_period(protocol)
-            span = float(get("span_factor"))
-            grids["period"] = np.geomspace(t_pred / span, t_pred * span, int(get("n_periods")))
-        scan_grid = read("scan_grid") if "scan_grid" in base else ()
-        center_sizes = get("center_sizes") if "center_sizes" in base else ()
-        return SweepSpec(kind, ChainSpec(n_sites), protocol, grids,
-                         scan_grid=tuple(float(x) for x in scan_grid),
-                         center_sizes=tuple(int(n) for n in center_sizes),
-                         start_cell=int(section.get("start_cell", 1)),
-                         branch=section.get("branch", "lower"), dt=dt, jobs=jobs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sweep section: {exc}") from exc
+    # mean_position's default window sits around the predicted optimum
+    window = kind == "mean_position" and "period_us" not in section
+    grids = {} if window else {name: np.atleast_1d(grid(name)) for name in axis_names}
+    if kind == "mean_position":
+        n_sites = 2 * get("n_cells")
+    else:
+        n_sites = int(grids["n_sites"][0]) if "n_sites" in grids else get("n_sites")
+    protocol = PumpProtocol("experimental", first("j_max"), first("delta0"),
+                            period=first("period") if "period" in base else 1.0, n_cycles=get("n_cycles"))
+    if window:
+        t_pred = predict_optimal_period(protocol)
+        span = get("span_factor", float)
+        grids["period"] = np.geomspace(t_pred / span, t_pred * span, get("n_periods"))
+    return SweepSpec(kind, ChainSpec(n_sites), protocol, grids,
+                     scan_grid=tuple(float(x) for x in grid("scan_grid")) if "scan_grid" in base else (),
+                     center_sizes=get("center_sizes", lambda v: tuple(map(int, v))) if "center_sizes" in base else (),
+                     start_cell=read(section, "start_cell", defaults.START_CELL, int),
+                     branch=read(section, "branch", defaults.BRANCH, str), dt=dt, jobs=jobs)
 
 
 def write_sweep_csv(result: SweepResult, path: str) -> None:
@@ -252,21 +252,18 @@ def write_sweep_csv(result: SweepResult, path: str) -> None:
     points = itertools.product(*(result.axes[name] for name in result.axis_names))
     for point, row in zip(points, result.values):
         lines.append(",".join(repr(float(v)) for v in (*point, *row)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def write_sweep_json(result: SweepResult, path: str) -> None:
-    payload = {
+    write_json({
         "kind": result.kind,
         "metadata": result.metadata,
         "axes": {name: list(map(float, result.axes[name])) for name in result.axis_names},
         "axis_order": list(result.axis_names),
         "columns": list(result.columns),
         "values": [[float(v) for v in row] for row in result.values],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(payload) + "\n")
+    }, path)
 
 
 def ripple_frequency(periods: np.ndarray, efficiencies: np.ndarray) -> float:

@@ -272,10 +272,8 @@ def test_stirap_reports_transfer(tmp_path):
     assert payload["times_us"][-1] == pytest.approx(6.0)
 
 
-def test_stirap_invalid_width_is_runtime_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"stirap": {"width_us": 0.0}})
-    assert main(["--config", cfg, "--out", str(tmp_path), "stirap"]) == 5
-    assert "error:" in capsys.readouterr().err
+TONE = {"sites": [1, 2], "carrier_mhz": 20.0, "rabi_mhz": 1.0}
+WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
 
 
 @pytest.mark.parametrize("payload, command, named", [
@@ -285,7 +283,29 @@ def test_stirap_invalid_width_is_runtime_error(tmp_path, capsys):
     ({**SIM_CONFIG, "protocol": {**SIM_CONFIG["protocol"], "j_max_mhz": float("nan")}}, ["simulate"],
      "j_max must be positive and finite, got nan"),
     ({**SIM_CONFIG, "evolution": {"dt_us": float("nan")}}, ["simulate"], "dt must be positive and finite, got nan"),
-], ids=["sweep-n_sites", "sweep-axis", "protocol-nan", "evolution-nan"])
+    ({**SIM_CONFIG, "chain": {"n_sites": 0}}, ["simulate"], "bad chain section: n_sites must be positive"),
+    ({**SIM_CONFIG, "chain": {"n_sites": 5, "delta_parity": 2}}, ["simulate"],
+     "bad chain section: delta_parity must be +1 or -1"),
+    ({**SIM_CONFIG, "simulate": {"start_cell": 9}}, ["simulate"], "bad simulate section: cell_index out of range"),
+    ({**SIM_CONFIG, "simulate": {"branch": "middle"}}, ["simulate"],
+     "bad simulate section: branch must be 'lower' or 'upper'"),
+    ({"spectrum": {"linewidth_mhz": 0.0}}, ["spectrum", "excitation"],
+     "bad spectrum section: linewidth must be positive"),
+    ({"spectrum": {"n_times": 1}}, ["spectrum", "instantaneous"], "bad spectrum section: need at least 2 time samples"),
+    ({"spectrum": {"probe_site": 99}}, ["spectrum", "excitation"], "bad spectrum section: probe_site out of range"),
+    ({"waveform": {**WAVEFORM, "tones": [{**TONE, "carrier_mhz": -5.0}]}}, ["waveform", "synth"],
+     "bad waveform section: carrier frequency must be positive"),
+    ({"waveform": {**WAVEFORM, "bits": 40}}, ["waveform", "synth"], "bad waveform section: bits must be in 2..16"),
+    ({"readout": {"sigma_t_us": 0.0}}, ["readout", "synth"], "bad readout section: sigma_t must be positive"),
+    ({"readout": {"weights": [1.0]}}, ["readout", "synth"], "bad readout section: one weight per basis state required"),
+    ({"readout": {"noise": -1}}, ["readout", "synth"],
+     "bad readout section: noise_amplitude must be non-negative and finite, got -1.0"),
+    ({"stirap": {"width_us": 0.0}}, ["stirap"], "bad stirap section: width must be positive"),
+    ({"stirap": {"peak_rabi_mhz": "x"}}, ["stirap"], "bad stirap section: could not convert string to float: 'x'"),
+], ids=["sweep-n_sites", "sweep-axis", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
+        "simulate-start_cell", "simulate-branch", "spectrum-linewidth", "spectrum-n_times", "spectrum-probe_site",
+        "waveform-carrier", "waveform-bits", "readout-sigma_t", "readout-weights", "readout-noise", "stirap-width",
+        "stirap-peak_rabi"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3

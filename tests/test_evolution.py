@@ -200,7 +200,7 @@ def test_transfer_efficiency_reads_last_cell():
     half = np.zeros(5, dtype=complex)
     half[0] = half[4] = np.sqrt(0.5)
     record = EvolutionRecord(np.array([0.0]), half[None, :], CHAIN, 0.1)
-    assert transfer_efficiency(record, CHAIN) == pytest.approx(0.5)
+    assert transfer_efficiency(record) == pytest.approx(0.5)
 
 
 def test_pulse_envelope_shape_and_validation():

@@ -132,6 +132,9 @@ def test_synthesize_trace_validation_and_determinism():
         synthesize_trace(np.array([1.2, -0.2, 0, 0, 0, 0.0]), basis)
     with pytest.raises(ValueError):
         synthesize_trace(w * 1.5, basis)
+    for noise in (-0.05, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            synthesize_trace(w, basis, noise_amplitude=noise)
     clean = synthesize_trace(w, basis)
     np.testing.assert_allclose(clean.current, w @ basis.traces, atol=0.0)
     a = synthesize_trace(w, basis, noise_amplitude=0.05, seed=123)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ricemele.evolution import EvolutionRecord
+from ricemele.evolution import EvolutionRecord, transfer_efficiency
 from ricemele.model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width
 from ricemele.protocols import PumpProtocol
 from ricemele.spectrum import (
@@ -17,7 +17,6 @@ from ricemele.spectrum import (
     lorentzian,
     max_band_width,
     predict_optimal_period,
-    pump_efficiency,
     smooth_moving_average,
     write_excitation_csv,
     write_spectrum_csv,
@@ -130,12 +129,12 @@ def test_pump_efficiency_destination_selection():
     psi = np.zeros(5, dtype=complex)
     psi[2] = 1.0  # site 3, cell 2
     record = EvolutionRecord(np.array([0.0]), psi[None, :], spec, 0.1)
-    assert pump_efficiency(record, spec, 2) == pytest.approx(1.0)
-    assert pump_efficiency(record, spec) == pytest.approx(0.0)  # defaults to last cell
+    assert transfer_efficiency(record, 2) == pytest.approx(1.0)
+    assert transfer_efficiency(record) == pytest.approx(0.0)  # defaults to last cell
     with pytest.raises(ValueError):
-        pump_efficiency(record, spec, 4)
+        transfer_efficiency(record, 4)
     with pytest.raises(ValueError):
-        pump_efficiency(record, spec, 0)
+        transfer_efficiency(record, 0)
 
 
 def test_efficiency_vs_period_shape_and_range():

@@ -241,8 +241,9 @@ def test_build_sweep_spec_applies_file_units():
         "scan_grid_us": list(np.linspace(0.5, 4.0, 16)),
         "n_sites": 7,
     }
-    spec = build_sweep_spec("topt_collapse", section, jobs=3)
+    spec = build_sweep_spec("topt_collapse", section, jobs=3, dt=0.05)
     assert spec.kind == "topt_collapse"
+    assert spec.to_dict()["dt"] is None  # its period scans step period / 4096 whatever dt is
     assert spec.chain.n_sites == 7
     np.testing.assert_allclose(spec.axes["j_max"], TWO_PI * np.array([1.0, 2.0]))
     np.testing.assert_allclose(spec.axes["delta0"], [TWO_PI * 5.0])
@@ -253,6 +254,7 @@ def test_build_sweep_spec_applies_file_units():
 def test_build_sweep_spec_mean_position_grid():
     spec = build_sweep_spec("mean_position", {"n_cells": 4, "span_factor": 2.0, "n_periods": 5})
     assert spec.chain.n_sites == 8
+    assert spec.to_dict()["start_cell"] == 2  # every point starts in the center cell
     grid = spec.axes["period"]
     assert len(grid) == 5
     assert grid[-1] / grid[0] == pytest.approx(4.0)
