@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import defaults, evolution, readout, rfwave, spectrum, sweeps
-from .config import ConfigError, read, section, write_json
+from .config import ConfigError, flag, read, section, write_json
 from .model import TWO_PI
 from .protocols import classify_regime, sample_trajectory, winding_number
 
@@ -196,7 +196,7 @@ def _cmd_waveform(args, cfg) -> int:
                                             read(values, "sample_rate_per_us", defaults.WAVEFORM["sample_rate"]),
                                             read(values, "bits", defaults.WAVEFORM["bits"], int))
         purity = rfwave.spectral_purity_table(tones, duration)
-        csv_dump = read(values, "csv_dump", False, bool)
+        csv_dump = read(values, "csv_dump", False, flag)
     out = _out_dir(args, cfg)
     bin_path = os.path.join(out, "waveform.bin")
     rfwave.write_waveform_binary(buffer, bin_path)
@@ -242,8 +242,8 @@ def _cmd_readout(args, cfg) -> int:
             trace_path = read(values, "trace_path", "", str)
             if not trace_path:
                 raise ConfigError("readout decompose needs readout.trace_path")
-            weights, residual = readout.decompose_trace(
-                readout.read_trace_csv(trace_path), basis, normalize=read(values, "normalize", True, bool))
+            normalize = read(values, "normalize", True, flag)
+            weights, residual = readout.decompose_trace(readout.read_trace_csv(trace_path), basis, normalize=normalize)
     out = _out_dir(args, cfg)
     readout.write_basis_csv(basis, os.path.join(out, "basis.csv"))
     report = {"config": {"readout": {**values, "seed": seed}}, "weights": [float(w) for w in weights]}
@@ -263,6 +263,8 @@ def _cmd_stirap(args, cfg) -> int:
     with section(cfg, "stirap") as values:
         peak = read(values, "peak_rabi_mhz", base["peak_rabi"])
         duration = read(values, "duration_us", base["duration"])
+        if not 0 < duration < np.inf:
+            raise ValueError(f"duration must be positive and finite, got {duration!r}")
         width = read(values, "width_us", base["width"])
         stokes_center = read(values, "stokes_center_us", base["stokes_center"])
         pump_center = read(values, "pump_center_us", base["pump_center"])

@@ -102,6 +102,13 @@ def read(values: dict, key: str, default: Any, cast=float) -> Any:
     return TWO_PI * value if "_mhz" in key else value
 
 
+def flag(value: Any) -> bool:
+    """Cast for boolean keys: only JSON true or false, never a string or number."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def resolve_chain(cfg: dict) -> ChainSpec:
     with section(cfg, "chain") as values:
         cells = values.get("cells") or ()  # none: dimer cells from site 1
@@ -128,9 +135,9 @@ def resolve_evolution(cfg: dict, dt_override: float | None = None) -> EvolutionC
         dt = values.get("dt_us") if dt_override is None else dt_override
         return EvolutionConfig(
             dt=None if dt is None else float(dt),
-            adaptive_halving=read(values, "adaptive", False, bool),
+            adaptive_halving=read(values, "adaptive", False, flag),
             convergence_tol=read(values, "convergence_tol", 1e-6),
-            store_states=read(values, "store_states", True, bool),
+            store_states=read(values, "store_states", True, flag),
         )
 
 

@@ -7,8 +7,9 @@ floating-point accuracy regardless of step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +18,10 @@ from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 4096
 MAX_HALVINGS = 12
+# Most steps one run may take. A larger run is refused before anything is
+# allocated: its states or Hamiltonians would take gigabytes. No test,
+# demo or benchmark run takes more than 262,145 steps.
+MAX_STEPS = 2**21
 
 
 @dataclass(frozen=True)
@@ -81,12 +86,13 @@ def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i h dt) to psi via eigendecomposition of the symmetric h."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return _propagate(np.asarray(h)[None], dt, psi, store=False)[0]
+    return _propagate(np.linalg.eigh(np.asarray(h)[None]), dt, psi, store=False)[0]
 
 
-def _propagate(h, dt, psi0, store):
-    """Shared stepping core: apply exp(-i h[k] dt) for each Hamiltonian of the stack in turn."""
-    w, v = np.linalg.eigh(h)
+def _propagate(decomposition, dt, psi0, store):
+    """Shared stepping core: apply exp(-i h[k] dt) for each Hamiltonian of
+    the eigendecomposed stack (w, v) in turn."""
+    w, v = decomposition
     phases = np.exp(-1j * w * dt)
     psi = np.asarray(psi0, dtype=complex)
     states = [psi] if store else None
@@ -97,6 +103,53 @@ def _propagate(h, dt, psi0, store):
     return psi, states
 
 
+def _step_count(duration: float, dt: float) -> int:
+    """Steps of the grid nearest dt that tiles [0, duration], within MAX_STEPS."""
+    n_steps = max(1, int(round(duration / dt)))
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"{n_steps} steps exceed the step budget of {MAX_STEPS} per run")
+    return n_steps
+
+
+def schedule_key(spec: ChainSpec, protocol: PumpProtocol, dt: float | None = None) -> tuple:
+    """What fixes the Hamiltonians evolve decomposes: the chain, the protocol
+    at period 1 and the step count. Runs with equal keys, at any period,
+    share one eigendecomposition inside shared_decompositions()."""
+    n_steps = _step_count(protocol.duration, EvolutionConfig(dt).resolve_dt(protocol))
+    return spec, replace(protocol, period=1.0), n_steps
+
+
+_shared = ContextVar("shared_decompositions", default=None)
+
+
+@contextmanager
+def shared_decompositions():
+    """Inside the block, evolve decomposes each schedule key once and reuses
+    it; every decomposition is dropped when the block ends."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _decomposition(key):
+    """(w, v) of the midpoint Hamiltonians on the phase grid of a schedule key.
+
+    Step j sits at cycle phase x_j = (j + 1/2) n_cycles / n_steps, the
+    midpoint time over the period, so the grid is the same at every period.
+    """
+    shared = _shared.get()
+    if shared is not None and key in shared:
+        return shared[key]
+    spec, unit, n_steps = key
+    phase = (np.arange(n_steps) + 0.5) * unit.n_cycles / n_steps
+    decomposition = np.linalg.eigh(build_hamiltonians(spec, *sample_trajectory(unit, phase)))
+    if shared is not None:
+        shared[key] = decomposition
+    return decomposition
+
+
 def evolve(
     spec: ChainSpec,
     protocol: PumpProtocol,
@@ -105,8 +158,11 @@ def evolve(
 ) -> EvolutionRecord:
     """Evolve psi0 through n_cycles of the protocol with midpoint stepping.
 
-    With adaptive_halving the step is halved (up to 12 times) until the
-    final cell populations move by less than convergence_tol.
+    The Hamiltonian schedule is a function of the cycle phase, so runs at
+    different periods with the same steps per cycle share one
+    eigendecomposition inside shared_decompositions(). With
+    adaptive_halving the step is halved (up to 12 times) until the final
+    cell populations move by less than convergence_tol.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (spec.n_sites,):
@@ -114,16 +170,13 @@ def evolve(
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
 
-    couplings = partial(sample_trajectory, protocol)
-    record = _evolve_fixed(spec, couplings, protocol.duration, psi0, cfg.resolve_dt(protocol),
-                           cfg.store_states, protocol)
+    record = _evolve_fixed(spec, protocol, psi0, cfg.resolve_dt(protocol), cfg.store_states)
     if not cfg.adaptive_halving:
         return record
 
     pops = cell_populations(record.final_state, spec)
     for _ in range(MAX_HALVINGS):
-        finer = _evolve_fixed(spec, couplings, protocol.duration, psi0, record.dt / 2.0,
-                              cfg.store_states, protocol)
+        finer = _evolve_fixed(spec, protocol, psi0, record.dt / 2.0, cfg.store_states)
         finer_pops = cell_populations(finer.final_state, spec)
         if np.max(np.abs(finer_pops - pops)) < cfg.convergence_tol:
             return finer
@@ -134,16 +187,17 @@ def evolve(
     )
 
 
-def _evolve_fixed(spec, couplings, duration, psi0, dt, store, protocol=None):
-    """Midpoint stepping over [0, duration] with the step nearest dt that tiles it.
+def _evolve_fixed(spec, protocol, psi0, dt, store):
+    """Midpoint stepping over the protocol's run on the phase grid nearest dt."""
+    decomposition = _decomposition(schedule_key(spec, protocol, dt))
+    return _record(spec, decomposition, protocol.duration, psi0, store, protocol)
 
-    couplings(t) returns the (J1, J2, delta) arrays at the step midpoints t.
-    """
-    n_steps = max(1, int(round(duration / dt)))
+
+def _record(spec, decomposition, duration, psi0, store, protocol=None):
+    """Step psi0 through [0, duration], one equal step per decomposed Hamiltonian."""
+    n_steps = len(decomposition.eigenvalues)
     dt = duration / n_steps
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    h = build_hamiltonians(spec, *couplings(t_mid))
-    psi, states = _propagate(h, dt, psi0, store)
+    psi, states = _propagate(decomposition, dt, psi0, store)
     if store:
         times, states = np.linspace(0.0, duration, n_steps + 1), np.stack(states)
     else:
@@ -248,4 +302,7 @@ def stirap_sequence(
         return envs[1], envs[2], np.zeros(len(t_mid))
 
     dt = cfg.dt if cfg.dt is not None else duration / DEFAULT_STEPS_PER_CYCLE
-    return _evolve_fixed(spec, couplings, duration, psi0, dt, store=True)
+    n_steps = _step_count(duration, dt)
+    t_mid = (np.arange(n_steps) + 0.5) * (duration / n_steps)
+    decomposition = np.linalg.eigh(build_hamiltonians(spec, *couplings(t_mid)))
+    return _record(spec, decomposition, duration, psi0, store=True)

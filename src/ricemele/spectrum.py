@@ -146,12 +146,17 @@ def efficiency_vs_period(
     branch: str = "lower",
     dt_per_cycle: int = evolution.DEFAULT_STEPS_PER_CYCLE,
 ) -> np.ndarray:
-    """transport_efficiency for every period in the grid, dt_per_cycle steps per period."""
-    return np.array([
-        transport_efficiency(spec, replace(protocol_template, period=float(period)),
-                             start_cell, branch, float(period) / dt_per_cycle)
-        for period in period_grid
-    ])
+    """transport_efficiency for every period in the grid, dt_per_cycle steps per period.
+
+    Every period steps through the same cycle phases, so one
+    eigendecomposition serves the whole grid; it is dropped on return.
+    """
+    with evolution.shared_decompositions():
+        return np.array([
+            transport_efficiency(spec, replace(protocol_template, period=float(period)),
+                                 start_cell, branch, float(period) / dt_per_cycle)
+            for period in period_grid
+        ])
 
 
 def smooth_moving_average(x: np.ndarray, y: np.ndarray, window: float) -> np.ndarray:

@@ -135,14 +135,21 @@ class SweepResult:
             raise ValueError("values shape must be (product of axis lengths, n_columns)")
 
 
-def _run_tasks(tasks, jobs):
-    """Evaluate (callable, args) pairs, filling results by task index."""
-    if jobs <= 1:
+def _run_group(tasks):
+    """Evaluate (callable, args) pairs that share a Hamiltonian schedule,
+    decomposing it once."""
+    with evolution.shared_decompositions():
         return [fn(*args) for fn, args in tasks]
-    out = [None] * len(tasks)
+
+
+def _run_groups(groups, jobs):
+    """Evaluate each group of tasks, filling results by group index."""
+    if jobs <= 1:
+        return [_run_group(group) for group in groups]
+    out = [None] * len(groups)
     ctx = mp.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-        futures = {pool.submit(fn, *args): i for i, (fn, args) in enumerate(tasks)}
+        futures = {pool.submit(_run_group, group): i for i, group in enumerate(groups)}
         for future in as_completed(futures):
             out[futures[future]] = future.result()
     return out
@@ -154,7 +161,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Each point is mapped onto the spec: an n_sites value replaces the chain
     (default cells), every other axis value the protocol field of its name.
     The center_sizes chains start in the center cell, the others in
-    spec.start_cell.
+    spec.start_cell. Points with the same evolution.schedule_key run one
+    after another and share its eigendecompositions, which are dropped
+    once their group is done.
     """
     _, axis_names, columns, row = _KINDS[spec.kind]
     missing = [name for name in axis_names if name not in spec.axes]
@@ -162,21 +171,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if missing or unexpected:
         raise ValueError(f"{spec.kind} sweep takes axes {axis_names}: "
                          f"missing {missing}, unexpected {unexpected}")
-    tasks = []
-    for values in itertools.product(*(spec.axes[name] for name in axis_names)):
+    groups = {}  # schedule key -> [(row index, task)], in order of first appearance
+    for index, values in enumerate(itertools.product(*(spec.axes[name] for name in axis_names))):
         point = dict(zip(axis_names, values))
         chain = spec.chain
         if "n_sites" in point:
             chain = replace(chain, n_sites=int(point.pop("n_sites")), cells=())
         protocol = replace(spec.protocol, **{name: float(v) for name, v in point.items()})
         start_cell = (chain.n_cells + 1) // 2 if chain.n_sites in spec.center_sizes else spec.start_cell
-        tasks.append((row, (spec, chain, protocol, start_cell)))
+        key = evolution.schedule_key(chain, protocol, spec.dt)
+        groups.setdefault(key, []).append((index, (row, (spec, chain, protocol, start_cell))))
+    rows = [None] * sum(map(len, groups.values()))
+    results = _run_groups([[task for _, task in group] for group in groups.values()], spec.jobs)
+    for group, group_rows in zip(groups.values(), results):
+        for (index, _), values in zip(group, group_rows):
+            rows[index] = values
     return SweepResult(
         kind=spec.kind,
         axis_names=axis_names,
         axes={name: np.asarray(spec.axes[name]) for name in axis_names},
         columns=columns,
-        values=np.asarray(_run_tasks(tasks, spec.jobs), dtype=float),
+        values=np.asarray(rows, dtype=float),
         metadata={
             "provenance": provenance(),
             "kind": spec.kind,

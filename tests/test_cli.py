@@ -17,6 +17,7 @@ from ricemele.config import (
     resolve_chain,
     resolve_protocol,
 )
+from ricemele.evolution import MAX_STEPS
 from ricemele.model import TWO_PI
 from ricemele.readout import read_trace_csv
 from ricemele.rfwave import read_waveform_binary
@@ -302,15 +303,33 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad readout section: noise_amplitude must be non-negative and finite, got -1.0"),
     ({"stirap": {"width_us": 0.0}}, ["stirap"], "bad stirap section: width must be positive"),
     ({"stirap": {"peak_rabi_mhz": "x"}}, ["stirap"], "bad stirap section: could not convert string to float: 'x'"),
+    ({"stirap": {"duration_us": 0}}, ["stirap"], "bad stirap section: duration must be positive and finite, got 0.0"),
+    ({"stirap": {"duration_us": -6}}, ["stirap"], "bad stirap section: duration must be positive and finite, got -6.0"),
+    ({**SIM_CONFIG, "evolution": {"adaptive": "false"}}, ["simulate"],
+     "bad evolution section: expected true or false, got 'false'"),
+    ({**SIM_CONFIG, "evolution": {"store_states": 1}}, ["simulate"],
+     "bad evolution section: expected true or false, got 1"),
+    ({"readout": {"trace_path": "trace.csv", "normalize": "false"}}, ["readout", "decompose"],
+     "bad readout section: expected true or false, got 'false'"),
+    ({"waveform": {**WAVEFORM, "csv_dump": "false"}}, ["waveform", "synth"],
+     "bad waveform section: expected true or false, got 'false'"),
 ], ids=["sweep-n_sites", "sweep-axis", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "simulate-start_cell", "simulate-branch", "spectrum-linewidth", "spectrum-n_times", "spectrum-probe_site",
         "waveform-carrier", "waveform-bits", "readout-sigma_t", "readout-weights", "readout-noise", "stirap-width",
-        "stirap-peak_rabi"])
+        "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
+        "evolution-store_states", "readout-normalize", "waveform-csv_dump"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def test_step_budget_is_a_runtime_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, SIM_CONFIG)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--dt", "1e-9", "simulate"]) == 5
+    assert f"error: 400000000 steps exceed the step budget of {MAX_STEPS} per run" in capsys.readouterr().err
+    assert not (tmp_path / "simulate.json").exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):

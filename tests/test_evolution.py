@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from ricemele.evolution import (
+    MAX_STEPS,
     EvolutionConfig,
     EvolutionRecord,
     PulseSpec,
@@ -106,6 +107,28 @@ def test_final_state_agrees_with_high_order_reference():
         mine = evolve(CHAIN, proto, psi0,
                       EvolutionConfig(dt=proto.period / 65536, store_states=False)).final_state
         assert np.linalg.norm(mine - ref) < 1e-8
+
+
+def test_phase_grid_matches_reference_when_steps_do_not_tile_a_cycle():
+    """Midpoints sampled by cycle phase, at an odd step count over two
+    cycles, meet acceptance 7's bound against DOP853."""
+    psi0 = start_state()
+
+    def rhs(t, y):
+        return -1j * (build_hamiltonian(CHAIN, sample_trajectory(PROTO, min(t, PROTO.duration))) @ y)
+
+    ref = solve_ivp(rhs, (0.0, PROTO.duration), psi0, method="DOP853", rtol=1e-12, atol=1e-14).y[:, -1]
+    cfg = EvolutionConfig(dt=PROTO.duration / (2 * 131072 + 1), store_states=False)
+    assert np.linalg.norm(evolve(CHAIN, PROTO, psi0, cfg).final_state - ref) < 1e-8
+
+
+def test_step_budget_refuses_oversized_runs():
+    tiny = PROTO.duration / (MAX_STEPS + 2)
+    with pytest.raises(ValueError, match=f"{MAX_STEPS + 2} steps exceed the step budget of {MAX_STEPS}"):
+        evolve(CHAIN, PROTO, start_state(), EvolutionConfig(dt=tiny))
+    with pytest.raises(ValueError, match=f"exceed the step budget of {MAX_STEPS}"):
+        stirap_sequence(PulseSpec(1.0, 1.0, 1.0), PulseSpec(1.0, 2.0, 1.0, bond=2), 4.0,
+                        EvolutionConfig(dt=1e-9))
 
 
 def test_adaptive_halving_converges_and_reports_failure():

@@ -93,7 +93,14 @@ def compare_spec(jobs=1):
                      dt=0.002, jobs=jobs)
 
 
-@pytest.mark.parametrize("make_spec", [offset_spec, compare_spec], ids=["offset", "protocol_compare"])
+def mean_position_spec(jobs=1):
+    """Three periods at the default step: one schedule key for the whole grid."""
+    protocol = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 1.0, 2)
+    return SweepSpec("mean_position", ChainSpec(6), protocol, {"period": np.array([0.4, 0.6, 0.9])}, jobs=jobs)
+
+
+@pytest.mark.parametrize("make_spec", [offset_spec, compare_spec, mean_position_spec],
+                         ids=["offset", "protocol_compare", "mean_position"])
 def test_parallel_matches_serial_exactly(make_spec):
     serial = run_sweep(make_spec(jobs=1))
     parallel = run_sweep(make_spec(jobs=2))
@@ -332,3 +339,48 @@ def test_ripple_frequency_tracks_delta0_not_coupling():
     stronger_j = ripple(TWO_PI * 2.0, TWO_PI * 5.0)
     assert higher_delta / base == pytest.approx(1.8, rel=0.15)
     assert stronger_j / base == pytest.approx(1.0, rel=0.15)
+
+
+def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
+    spec = mean_position_spec()
+    result = run_sweep(spec)
+    # 2 cycles at 4096 steps per cycle, once for the 3 periods, not 3 times
+    assert eigh_matrices(6) == 8192
+    for row, period in zip(result.values, spec.axes["period"]):
+        proto = replace(spec.protocol, period=float(period))
+        assert tuple(row) == mean_position_reference(spec.chain, proto, spec.start_cell, None)
+
+
+def test_each_sweep_decomposes_afresh(eigh_matrices):
+    first = run_sweep(mean_position_spec())
+    assert eigh_matrices(6) == 8192
+    second = run_sweep(mean_position_spec())
+    assert eigh_matrices(6) == 2 * 8192
+    assert np.array_equal(first.values, second.values)
+
+
+def test_grid_points_sharing_a_schedule_share_decompositions(eigh_matrices):
+    """period_delta puts period first, so points sharing a delta0 are not
+    adjacent in row order; they still share one decomposition, and every
+    row is written back in place."""
+    spec = SweepSpec("period_delta", CHAIN, PROTO,
+                     {"period": np.array([0.4, 0.6]), "delta0": np.array([TWO_PI * 5.0, TWO_PI * 6.0])})
+    result = run_sweep(spec)
+    assert eigh_matrices(5) == 2 * 4096
+    expected = [transport_efficiency(CHAIN, replace(PROTO, period=p, delta0=d))
+                for p in (0.4, 0.6) for d in (TWO_PI * 5.0, TWO_PI * 6.0)]
+    assert np.array_equal(result.values[:, 0], expected)
+
+
+def test_protocol_compare_decomposes_each_kind_once(eigh_matrices):
+    spec = replace(compare_spec(), dt=None)
+    run_sweep(spec)
+    assert eigh_matrices(5) == 2 * 4096  # one run per protocol kind, for all three periods
+
+
+def test_efficiency_vs_period_decomposes_once_per_call(eigh_matrices):
+    periods = np.array([0.4, 0.5, 0.7])
+    first = efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=256)
+    assert eigh_matrices(5) == 256
+    assert np.array_equal(efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=256), first)
+    assert eigh_matrices(5) == 2 * 256
