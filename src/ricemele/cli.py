@@ -72,12 +72,7 @@ def _resolved_common(cfg, chain, protocol, evo) -> dict:
     return {
         "chain": cfgmod.chain_to_dict(chain),
         "protocol": cfgmod.protocol_to_dict(protocol),
-        "evolution": {
-            "dt_us": evo.dt,
-            "adaptive": evo.adaptive_halving,
-            "convergence_tol": evo.convergence_tol,
-            "store_states": evo.store_states,
-        },
+        "evolution": {"dt_us": evo.dt, "store_states": evo.store_states},
     }
 
 
@@ -346,13 +341,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         cfg = cfgmod.load_config(args.config) if args.config else {}
-        present = [s for s in cfgmod.COMMAND_SECTIONS if s in cfg]
-        if len(present) > 1:
-            raise ConfigError(f"config holds multiple command sections: {present}")
-        if present and args.command != "validate" and present[0] != args.command:
-            raise ConfigError(
-                f"config section {present[0]!r} does not match subcommand {args.command!r}"
-            )
+        cfgmod.check_command_section(cfg, args.command)
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -62,14 +62,14 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def active_section(cfg: dict) -> str:
+def check_command_section(cfg: dict, command: str) -> None:
+    """A config holds at most one command section, and it must name the
+    subcommand; validate accepts any one section."""
     present = [name for name in COMMAND_SECTIONS if name in cfg]
-    if len(present) != 1:
-        raise ConfigError(
-            "config must contain exactly one command section "
-            f"of {COMMAND_SECTIONS}, found {present or 'none'}"
-        )
-    return present[0]
+    if len(present) > 1:
+        raise ConfigError(f"config holds multiple command sections: {present}")
+    if present and command != "validate" and present[0] != command:
+        raise ConfigError(f"config section {present[0]!r} does not match subcommand {command!r}")
 
 
 @contextmanager
@@ -132,13 +132,12 @@ def resolve_protocol(cfg: dict) -> PumpProtocol:
 
 def resolve_evolution(cfg: dict, dt_override: float | None = None) -> EvolutionConfig:
     with section(cfg, "evolution") as values:
+        unknown = sorted(set(values) - {"dt_us", "store_states"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; the section takes dt_us and store_states")
         dt = values.get("dt_us") if dt_override is None else dt_override
-        return EvolutionConfig(
-            dt=None if dt is None else float(dt),
-            adaptive_halving=read(values, "adaptive", False, flag),
-            convergence_tol=read(values, "convergence_tol", 1e-6),
-            store_states=read(values, "store_states", True, flag),
-        )
+        return EvolutionConfig(dt=None if dt is None else float(dt),
+                               store_states=read(values, "store_states", True, flag))
 
 
 def write_lines(lines, path: str) -> None:

@@ -17,7 +17,6 @@ from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 4096
-MAX_HALVINGS = 12
 # Most steps one run may take. A larger run is refused before anything is
 # allocated: its states or Hamiltonians would take gigabytes. No test,
 # demo or benchmark run takes more than 262,145 steps.
@@ -26,21 +25,15 @@ MAX_STEPS = 2**21
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepping control. dt=None resolves to period / 4096 at run time."""
+    """Stepping control. dt=None resolves at run time to period / 4096 for
+    evolve and to duration / 4096 for stirap_sequence."""
 
     dt: float | None = None
-    adaptive_halving: bool = False
-    convergence_tol: float = 1e-6
     store_states: bool = True
 
     def __post_init__(self):
         if self.dt is not None and not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
-        if not 0 < self.convergence_tol < np.inf:
-            raise ValueError(f"convergence_tol must be positive and finite, got {self.convergence_tol!r}")
-
-    def resolve_dt(self, protocol: PumpProtocol) -> float:
-        return self.dt if self.dt is not None else protocol.period / DEFAULT_STEPS_PER_CYCLE
 
 
 @dataclass(frozen=True)
@@ -103,8 +96,11 @@ def _propagate(decomposition, dt, psi0, store):
     return psi, states
 
 
-def _step_count(duration: float, dt: float) -> int:
-    """Steps of the grid nearest dt that tiles [0, duration], within MAX_STEPS."""
+def _step_count(duration: float, dt: float | None, cycle: float) -> int:
+    """Steps of the grid nearest dt (None: cycle / 4096) that tiles
+    [0, duration], within MAX_STEPS."""
+    if dt is None:
+        dt = cycle / DEFAULT_STEPS_PER_CYCLE
     n_steps = max(1, int(round(duration / dt)))
     if n_steps > MAX_STEPS:
         raise ValueError(f"{n_steps} steps exceed the step budget of {MAX_STEPS} per run")
@@ -115,7 +111,8 @@ def schedule_key(spec: ChainSpec, protocol: PumpProtocol, dt: float | None = Non
     """What fixes the Hamiltonians evolve decomposes: the chain, the protocol
     at period 1 and the step count. Runs with equal keys, at any period,
     share one eigendecomposition inside shared_decompositions()."""
-    n_steps = _step_count(protocol.duration, EvolutionConfig(dt).resolve_dt(protocol))
+    EvolutionConfig(dt)  # rejects a dt that is not positive and finite
+    n_steps = _step_count(protocol.duration, dt, protocol.period)
     return spec, replace(protocol, period=1.0), n_steps
 
 
@@ -160,9 +157,7 @@ def evolve(
 
     The Hamiltonian schedule is a function of the cycle phase, so runs at
     different periods with the same steps per cycle share one
-    eigendecomposition inside shared_decompositions(). With
-    adaptive_halving the step is halved (up to 12 times) until the final
-    cell populations move by less than convergence_tol.
+    eigendecomposition inside shared_decompositions().
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (spec.n_sites,):
@@ -170,27 +165,8 @@ def evolve(
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
 
-    record = _evolve_fixed(spec, protocol, psi0, cfg.resolve_dt(protocol), cfg.store_states)
-    if not cfg.adaptive_halving:
-        return record
-
-    pops = cell_populations(record.final_state, spec)
-    for _ in range(MAX_HALVINGS):
-        finer = _evolve_fixed(spec, protocol, psi0, record.dt / 2.0, cfg.store_states)
-        finer_pops = cell_populations(finer.final_state, spec)
-        if np.max(np.abs(finer_pops - pops)) < cfg.convergence_tol:
-            return finer
-        record, pops = finer, finer_pops
-    raise RuntimeError(
-        f"no convergence after {MAX_HALVINGS} halvings "
-        f"(last dt={record.dt:.3e} us, last delta={np.max(np.abs(finer_pops - pops)):.3e})"
-    )
-
-
-def _evolve_fixed(spec, protocol, psi0, dt, store):
-    """Midpoint stepping over the protocol's run on the phase grid nearest dt."""
-    decomposition = _decomposition(schedule_key(spec, protocol, dt))
-    return _record(spec, decomposition, protocol.duration, psi0, store, protocol)
+    decomposition = _decomposition(schedule_key(spec, protocol, cfg.dt))
+    return _record(spec, decomposition, protocol.duration, psi0, cfg.store_states, protocol)
 
 
 def _record(spec, decomposition, duration, psi0, store, protocol=None):
@@ -301,8 +277,7 @@ def stirap_sequence(
             envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t_mid)
         return envs[1], envs[2], np.zeros(len(t_mid))
 
-    dt = cfg.dt if cfg.dt is not None else duration / DEFAULT_STEPS_PER_CYCLE
-    n_steps = _step_count(duration, dt)
+    n_steps = _step_count(duration, cfg.dt, duration)
     t_mid = (np.arange(n_steps) + 0.5) * (duration / n_steps)
     decomposition = np.linalg.eigh(build_hamiltonians(spec, *couplings(t_mid)))
     return _record(spec, decomposition, duration, psi0, store=True)

@@ -80,16 +80,15 @@ def sample_trajectory(protocol: PumpProtocol, t):
     return j1, j2, delta
 
 
-def winding_number(protocol: PumpProtocol, n_samples: int = 256) -> tuple[int, bool]:
-    """Signed windings of (J1 - J2, delta) around the origin over one period.
+def winding_number(protocol: PumpProtocol) -> tuple[int, bool]:
+    """Signed windings of (J1 - J2, delta) around the origin over one period,
+    sampled at 256 equal steps.
 
     Returns (winding, degenerate). The degenerate flag is set when the
     curve passes within 1e-9 * max(J0, delta0) of the origin, in which
     case the winding is reported as 0 (gap closes on the path).
     """
-    if n_samples < 64:
-        raise ValueError("need at least 64 samples per cycle")
-    t = np.linspace(0.0, protocol.period, n_samples + 1)
+    t = np.linspace(0.0, protocol.period, 257)
     j1, j2, delta = sample_trajectory(replace(protocol, n_cycles=1), t)
     x = j1 - j2
     y = delta
@@ -106,10 +105,10 @@ def winding_number(protocol: PumpProtocol, n_samples: int = 256) -> tuple[int, b
     return int(np.rint(total)), False
 
 
-def classify_regime(protocol: PumpProtocol, n_samples: int = 256) -> str:
+def classify_regime(protocol: PumpProtocol) -> str:
     """'topological' when the loop encircles the origin, else 'trivial';
     'boundary' when the loop touches the origin within tolerance."""
-    w, degenerate = winding_number(protocol, n_samples)
+    w, degenerate = winding_number(protocol)
     if degenerate:
         return "boundary"
     return "topological" if abs(w) >= 1 else "trivial"

@@ -106,18 +106,12 @@ def _tone_samples(tone: ToneSchedule, t: np.ndarray):
     return amplitude * np.cos(phase), freq
 
 
-def synthesize_waveform(
-    tones, duration: float, rate: float | None = None, bits: int = 10
-) -> WaveformBuffer:
-    """Render the normalized, quantized sum of all tones.
+def synthesize_waveform(tones, duration: float, rate: float, bits: int = 10) -> WaveformBuffer:
+    """Render the normalized, quantized sum of all tones, rate samples per us.
 
     The composite is scaled so the largest absolute sample sits exactly
     at full scale, then rounded to the nearest code.
     """
-    from . import defaults
-
-    if rate is None:
-        rate = defaults.WAVEFORM["sample_rate"]
     tones = list(tones)
     if not tones:
         raise ValueError("tone list is empty")
@@ -189,16 +183,17 @@ def extract_autler_townes_splitting(detunings: np.ndarray, response: np.ndarray)
     return float(peaks[1] - peaks[0])
 
 
-def spectral_purity_table(tones, duration: float, n_samples: int = 256) -> list:
+def spectral_purity_table(tones, duration: float) -> list:
     """Intermodulation products of the doubler output, uncompensated.
 
     Squaring the multi-tone signal yields wanted components at the
     carrier frequencies f_i plus spurious components at DC and at the
     half-carrier sums and differences. Powers are relative to the
-    strongest wanted component, using each tone's peak amplitude.
+    strongest wanted component, using each tone's peak amplitude over
+    256 samples of the duration.
     """
     tones = list(tones)
-    t = np.linspace(0.0, duration, n_samples)
+    t = np.linspace(0.0, duration, 256)
     amps = []
     for tone in tones:
         rabi = _eval_envelope(tone.rabi, t)
@@ -243,6 +238,8 @@ def read_waveform_binary(path: str) -> WaveformBuffer:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise ValueError("not a waveform file (bad magic)")
+    if len(blob) < 24:
+        raise ValueError("truncated waveform header")
     version, bits, rate, length = struct.unpack("<HHdQ", blob[4:24])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported waveform format version {version}")

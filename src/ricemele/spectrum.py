@@ -81,13 +81,13 @@ def find_spectral_peaks(x: np.ndarray, y: np.ndarray, min_height_frac: float = 0
     return np.asarray(x)[idx]
 
 
-def max_band_width(protocol: PumpProtocol, n_times: int = 512) -> float:
+def max_band_width(protocol: PumpProtocol) -> float:
     """Maximum Bloch band width along the protocol over one period.
 
-    Dense scan followed by golden-section refinement of the bracketing
-    interval; relative tolerance 1e-6 on the period coordinate.
+    Dense scan at 512 times followed by golden-section refinement of the
+    bracketing interval; relative tolerance 1e-6 on the period coordinate.
     """
-    period = protocol.period
+    period, n_times = protocol.period, 512
 
     def width_at(t):
         j1, j2, delta = sample_trajectory(protocol, np.array([t % period]))
@@ -113,14 +113,14 @@ def max_band_width(protocol: PumpProtocol, n_times: int = 512) -> float:
     return max(float(-res.fun), float(widths[k]))
 
 
-def predict_optimal_period(protocol: PumpProtocol, n_times: int = 512) -> float:
+def predict_optimal_period(protocol: PumpProtocol) -> float:
     """Dispersion scale of the pump period, 2*pi / max band width.
 
     The measured optimum of the smoothed efficiency sits at 0.25-0.29 of
     this value on a 15-cell chain (README, acceptance 3); the optimum
     scales as 1 / max band width, but the prefactor is not 1.
     """
-    width = max_band_width(protocol, n_times)
+    width = max_band_width(protocol)
     if width <= 0.0:
         raise ValueError("dispersionless protocol: no finite optimal period predicted")
     return TWO_PI / width

@@ -10,8 +10,8 @@ import pytest
 from ricemele.cli import main
 from ricemele.config import (
     ConfigError,
-    active_section,
     canonical_json,
+    check_command_section,
     config_hash,
     load_config,
     resolve_chain,
@@ -58,12 +58,17 @@ def test_canonical_json_and_hash_are_deterministic():
     assert config_hash(payload) == config_hash(json.loads(text))
 
 
-def test_active_section_requires_exactly_one():
-    assert active_section({"simulate": {}}) == "simulate"
-    with pytest.raises(ConfigError):
-        active_section({})
-    with pytest.raises(ConfigError):
-        active_section({"simulate": {}, "stirap": {}})
+def test_active_section_requires_exactly_one(tmp_path):
+    """At most one command section, naming the subcommand; validate takes any."""
+    check_command_section({"simulate": {}}, "simulate")
+    check_command_section({}, "simulate")
+    check_command_section({"stirap": {}}, "validate")
+    with pytest.raises(ConfigError, match="multiple command sections"):
+        check_command_section({"simulate": {}, "stirap": {}}, "simulate")
+    with pytest.raises(ConfigError, match="does not match subcommand 'simulate'"):
+        check_command_section({"stirap": {}}, "simulate")
+    assert main(["--out", str(tmp_path), "simulate"]) == 0
+    assert (tmp_path / "simulate.json").exists()
 
 
 def test_load_config_rejects_non_object(tmp_path):
@@ -119,7 +124,7 @@ def test_simulate_writes_record(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("simulate.json")
     payload = json.loads((out / "simulate.json").read_text())
     assert payload["config"]["protocol"]["j_max_mhz"] == 1.5
-    assert payload["config"]["evolution"]["dt_us"] == 0.002
+    assert payload["config"]["evolution"] == {"dt_us": 0.002, "store_states": True}
     assert payload["regime"] == "topological"
     assert payload["winding_number"] == 1
     assert payload["on_boundary"] is False
@@ -305,8 +310,8 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
     ({"stirap": {"peak_rabi_mhz": "x"}}, ["stirap"], "bad stirap section: could not convert string to float: 'x'"),
     ({"stirap": {"duration_us": 0}}, ["stirap"], "bad stirap section: duration must be positive and finite, got 0.0"),
     ({"stirap": {"duration_us": -6}}, ["stirap"], "bad stirap section: duration must be positive and finite, got -6.0"),
-    ({**SIM_CONFIG, "evolution": {"adaptive": "false"}}, ["simulate"],
-     "bad evolution section: expected true or false, got 'false'"),
+    ({**SIM_CONFIG, "evolution": {"adaptive": True}}, ["simulate"],
+     "bad evolution section: unknown keys ['adaptive']"),
     ({**SIM_CONFIG, "evolution": {"store_states": 1}}, ["simulate"],
      "bad evolution section: expected true or false, got 1"),
     ({"readout": {"trace_path": "trace.csv", "normalize": "false"}}, ["readout", "decompose"],

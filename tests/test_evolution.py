@@ -71,7 +71,7 @@ def test_evolve_requires_normalized_matching_state():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
-@pytest.mark.parametrize("name", ["dt", "convergence_tol"])
+@pytest.mark.parametrize("name", ["dt"])
 def test_evolution_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError, match=name):
         EvolutionConfig(**{name: value})
@@ -129,17 +129,6 @@ def test_step_budget_refuses_oversized_runs():
     with pytest.raises(ValueError, match=f"exceed the step budget of {MAX_STEPS}"):
         stirap_sequence(PulseSpec(1.0, 1.0, 1.0), PulseSpec(1.0, 2.0, 1.0, bond=2), 4.0,
                         EvolutionConfig(dt=1e-9))
-
-
-def test_adaptive_halving_converges_and_reports_failure():
-    cfg = EvolutionConfig(dt=PROTO.period / 64, adaptive_halving=True, convergence_tol=1e-6,
-                          store_states=False)
-    record = evolve(CHAIN, PROTO, start_state(), cfg)
-    assert record.dt < PROTO.period / 64
-    impossible = EvolutionConfig(dt=PROTO.period / 2, adaptive_halving=True,
-                                 convergence_tol=1e-300, store_states=False)
-    with pytest.raises(RuntimeError):
-        evolve(CHAIN, PROTO, start_state(), impossible)
 
 
 def test_store_states_toggle_changes_record_shape_not_result():

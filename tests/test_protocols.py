@@ -158,11 +158,6 @@ def test_flat_trajectory_reports_gap_closure():
     assert classify_regime(flat) == "boundary"
 
 
-def test_winding_requires_enough_samples():
-    with pytest.raises(ValueError):
-        winding_number(proto(), n_samples=32)
-
-
 def test_classifier_agrees_with_winding_everywhere():
     offsets = np.linspace(-2.0, 2.0, 21) * D0
     deltas = np.linspace(TWO_PI * 0.5, TWO_PI * 10.0, 11)

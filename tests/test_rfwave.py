@@ -236,6 +236,11 @@ def test_waveform_binary_rejects_corruption(tmp_path):
     with pytest.raises(ValueError):
         read_waveform_binary(str(truncated))
 
+    short_header = tmp_path / "header.bin"
+    short_header.write_bytes(b"RMWF\x01\x00")
+    with pytest.raises(ValueError, match="truncated waveform header"):
+        read_waveform_binary(str(short_header))
+
 
 def test_waveform_csv_dump(tmp_path):
     buffer = WaveformBuffer(sample_rate=10.0, bits=8, samples=np.array([1, -2, 3], dtype=np.int16),

@@ -1,0 +1,81 @@
+"""Run the same CLI commands under two source trees and diff all they produce.
+
+    python3 tools/compare_outputs.py OLD_TREE NEW_TREE
+
+Each tree runs every demos/configs/*.json command (configs read from
+NEW_TREE), `simulate` with no config, and `sweep offset` with no config at
+--jobs 1 and 2 with --dt 0.005, writing under the same --out path so printed
+paths agree. Exit codes, stdout, stderr and output files are compared byte
+for byte; a differing JSON file names its differing keys. Exits 1 on any
+difference.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SECTIONS = ("simulate", "sweep", "spectrum", "waveform", "readout", "stirap")
+
+
+def cases(configs):
+    for name in sorted(n for n in os.listdir(configs) if n.endswith(".json")):
+        with open(os.path.join(configs, name), encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        command, stem = next(s for s in SECTIONS if s in cfg), name[:-5]
+        # the argument after the command: the sweep kind, synth, or the file name's suffix
+        action = (cfg["sweep"]["kind"] if command == "sweep" else "synth" if command == "waveform"
+                  else stem.partition("_")[2])
+        yield stem, ["--config", os.path.join(configs, name), command] + ([action] if action else [])
+    yield "simulate_no_config", ["simulate"]
+    for jobs in ("1", "2"):
+        yield f"sweep_offset_jobs{jobs}", ["--jobs", jobs, "--dt", "0.005", "sweep", "offset"]
+
+
+def run(tree, configs, out):
+    """{case: (exit code, stdout, stderr, {file name: bytes})} for one tree; empties out."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
+    results = {}
+    for label, argv in cases(configs):
+        folder = os.path.join(out, label)
+        proc = subprocess.run([sys.executable, "-m", "ricemele.cli", "--out", folder, *argv],
+                              capture_output=True, env=env, cwd=os.path.dirname(out))
+        files = {}
+        for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
+            with open(os.path.join(folder, name), "rb") as fh:
+                files[name] = fh.read()
+            os.remove(os.path.join(folder, name))
+        results[label] = (proc.returncode, proc.stdout, proc.stderr, files)
+    return results
+
+
+def differing_keys(a, b, path=""):
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [k for key in sorted(set(a) | set(b)) for k in differing_keys(a.get(key), b.get(key), f"{path}.{key}")]
+    return [] if a == b else [path.lstrip(".") or "(whole file)"]
+
+
+def main(old, new):
+    configs = os.path.join(os.path.abspath(new), "demos", "configs")
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+        before, after = (run(tree, configs, os.path.join(work, "out")) for tree in (old, new))
+    diffs = []
+    for label, now in after.items():
+        was = before[label]
+        print(f"{label}: exit {was[0]} -> {now[0]}, files {len(was[3])} -> {len(now[3])}")
+        diffs += [f"{label}: {what} differs" for what, i in (("exit code", 0), ("stdout", 1), ("stderr", 2))
+                  if was[i] != now[i]]
+        for name in sorted(set(was[3]) | set(now[3])):
+            a, b = was[3].get(name), now[3].get(name)
+            if a is None or b is None:
+                diffs.append(f"{label}/{name}: written by one tree only")
+            elif a != b:
+                keys = differing_keys(json.loads(a), json.loads(b)) if name.endswith(".json") else []
+                diffs.append(f"{label}/{name}: differs" + (f" at {', '.join(keys)}" if keys else ""))
+    print("\n".join(diffs) or "no differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]) if len(sys.argv) == 3 else __doc__)
