@@ -280,4 +280,4 @@ def stirap_sequence(
     n_steps = _step_count(duration, cfg.dt, duration)
     t_mid = (np.arange(n_steps) + 0.5) * (duration / n_steps)
     decomposition = np.linalg.eigh(build_hamiltonians(spec, *couplings(t_mid)))
-    return _record(spec, decomposition, duration, psi0, store=True)
+    return _record(spec, decomposition, duration, psi0, cfg.store_states)

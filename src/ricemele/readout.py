@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .config import write_lines
 
@@ -148,6 +147,8 @@ def decompose_trace(
     KKT conditions of min ||A w - y||^2 with w >= 0. With normalize,
     weights are rescaled to sum to 1 after the fit.
     """
+    from scipy.optimize import nnls  # imported on use: scipy adds 1.5 s to start-up
+
     if trace.times.shape != basis.times.shape or not np.allclose(
         trace.times, basis.times, rtol=0.0, atol=1e-12
     ):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .config import write_lines
 from .model import TWO_PI
@@ -102,7 +101,9 @@ def _tone_samples(tone: ToneSchedule, t: np.ndarray):
     # programmed tone by half of that
     freq = tone.carrier / 2.0 + detuning / (2.0 * TWO_PI)
     amplitude = np.sqrt(rabi / tone.alpha)
-    phase = tone.phase + TWO_PI * cumulative_trapezoid(freq, t, initial=0.0)
+    # cumulative trapezoid rule, the expression scipy's cumulative_trapezoid evaluates
+    cycles = np.concatenate(([0.0], np.cumsum(np.diff(t) * (freq[1:] + freq[:-1]) / 2.0)))
+    phase = tone.phase + TWO_PI * cycles
     return amplitude * np.cos(phase), freq
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.signal import find_peaks
 
 from .config import write_lines
 from .model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width, build_hamiltonian, build_hamiltonians
@@ -76,6 +74,8 @@ def excitation_spectrum(
 
 def find_spectral_peaks(x: np.ndarray, y: np.ndarray, min_height_frac: float = 0.1) -> np.ndarray:
     """Positions of local maxima above a fraction of the global maximum."""
+    from scipy.signal import find_peaks  # imported on use: scipy adds 1.5 s to start-up
+
     y = np.asarray(y, dtype=float)
     idx, _ = find_peaks(y, height=min_height_frac * y.max())
     return np.asarray(x)[idx]
@@ -87,6 +87,8 @@ def max_band_width(protocol: PumpProtocol) -> float:
     Dense scan at 512 times followed by golden-section refinement of the
     bracketing interval; relative tolerance 1e-6 on the period coordinate.
     """
+    from scipy.optimize import minimize_scalar  # imported on use: scipy adds 1.5 s to start-up
+
     period, n_times = protocol.period, 512
 
     def width_at(t):

@@ -10,12 +10,9 @@ bit-identical outputs regardless of worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from functools import partial
-from importlib import metadata as _metadata
 import itertools
-import multiprocessing as mp
 
 import numpy as np
 
@@ -69,9 +66,11 @@ KINDS = tuple(_KINDS)
 
 
 def provenance() -> str:
+    from importlib import metadata  # imported on use: it adds 25 ms to start-up
+
     try:
-        version = _metadata.version("ricemele")
-    except _metadata.PackageNotFoundError:
+        version = metadata.version("ricemele")
+    except metadata.PackageNotFoundError:
         version = "0+unknown"
     return f"ricemele {version}"
 
@@ -92,6 +91,7 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sweep kind {self.kind!r}, expected one of {KINDS}")
+        evolution.EvolutionConfig(self.dt)  # rejects a dt that is not positive and finite
         # record what runs: mean_position starts in the center cell, and
         # topt_collapse's period scans always step period / 4096
         if self.kind == "mean_position":
@@ -146,8 +146,11 @@ def _run_groups(groups, jobs):
     """Evaluate each group of tasks, filling results by group index."""
     if jobs <= 1:
         return [_run_group(group) for group in groups]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     out = [None] * len(groups)
-    ctx = mp.get_context("spawn")
+    ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
         futures = {pool.submit(_run_group, group): i for i, group in enumerate(groups)}
         for future in as_completed(futures):

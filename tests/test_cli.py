@@ -1,12 +1,16 @@
 """End-to-end command-line behavior: outputs, config handling, exit codes."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from importlib.metadata import PackageNotFoundError, distribution, entry_points
 
 import numpy as np
 import pytest
 
+import ricemele
 from ricemele.cli import main
 from ricemele.config import (
     ConfigError,
@@ -35,6 +39,7 @@ SIM_CONFIG = {
 }
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def _installed(name):
@@ -286,6 +291,8 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
     ({"sweep": {"kind": "offset", "n_sites": 0}}, ["sweep", "offset"], "n_sites must be positive"),
     ({"sweep": {"kind": "offset", "delta_offset_mhz": [1.0, 1.0]}}, ["sweep", "offset"],
      "axis 'delta_offset' must be strictly monotone"),
+    ({"sweep": {"kind": "offset"}}, ["--dt", "-1", "sweep", "offset"],
+     "bad sweep section: dt must be positive and finite, got -1.0"),
     ({**SIM_CONFIG, "protocol": {**SIM_CONFIG["protocol"], "j_max_mhz": float("nan")}}, ["simulate"],
      "j_max must be positive and finite, got nan"),
     ({**SIM_CONFIG, "evolution": {"dt_us": float("nan")}}, ["simulate"], "dt must be positive and finite, got nan"),
@@ -318,7 +325,7 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad readout section: expected true or false, got 'false'"),
     ({"waveform": {**WAVEFORM, "csv_dump": "false"}}, ["waveform", "synth"],
      "bad waveform section: expected true or false, got 'false'"),
-], ids=["sweep-n_sites", "sweep-axis", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
+], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "simulate-start_cell", "simulate-branch", "spectrum-linewidth", "spectrum-n_times", "spectrum-probe_site",
         "waveform-carrier", "waveform-bits", "readout-sigma_t", "readout-weights", "readout-noise", "stirap-width",
         "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
@@ -328,6 +335,7 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command,
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_step_budget_is_a_runtime_error(tmp_path, capsys):
@@ -378,3 +386,43 @@ def test_installed_entry_point_matches_declaration():
     scripts = entry_points(group="console_scripts")
     match = [ep for ep in scripts if ep.name == "ricemele"]
     assert match and match[0].value == "ricemele.cli:main"
+
+
+# Run in a fresh interpreter: import the CLI, then run each command on its
+# demo config and print which of the listed modules each step newly loaded.
+_IMPORT_PROBE = """
+import json, sys
+LISTED = ("scipy", "importlib.metadata", "concurrent.futures.process", "multiprocessing")
+def loaded():
+    return {p for p in LISTED for m in list(sys.modules) if m == p or m.startswith(p + ".")}
+from ricemele.cli import main
+steps = [sorted(loaded())]
+configs, out = sys.argv[1:]
+for name, argv in json.loads(sys.stdin.read()):
+    before = loaded()
+    assert main(["--config", f"{configs}/{name}", "--out", out, *argv]) == 0, argv
+    steps.append(sorted(loaded() - before))
+print(json.dumps(steps))
+"""
+
+
+def test_commands_without_scipy_never_import_it(tmp_path):
+    # scipy, the process pool and the installed-version lookup load inside
+    # the functions that use them. Of these commands only sweep reaches
+    # one: its provenance line reads the installed version.
+    runs = [("simulate.json", ["simulate"], []),
+            ("sweep_offset.json", ["--jobs", "1", "sweep", "offset"], ["importlib.metadata"]),
+            ("spectrum_excitation.json", ["spectrum", "excitation"], []),
+            ("spectrum_excitation.json", ["spectrum", "instantaneous"], []),
+            ("waveform_pump.json", ["waveform", "synth"], []),
+            ("waveform_equal_coupling.json", ["waveform", "synth"], []),
+            ("readout_synth.json", ["readout", "synth"], []),
+            ("stirap.json", ["stirap"], [])]
+    src = os.path.dirname(os.path.dirname(ricemele.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(DEMO_CONFIGS), str(tmp_path)],
+                          input=json.dumps([run[:2] for run in runs]), capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.splitlines()[-1])
+    assert steps == [[]] + [expected for _, _, expected in runs]

@@ -138,6 +138,13 @@ def test_store_states_toggle_changes_record_shape_not_result():
     assert slim.states.shape == (2, 5)
     assert np.array_equal(full.final_state, slim.final_state)
     assert full.cell_population_table().shape == (1025, CHAIN.n_cells)
+    pulses = (PulseSpec(TWO_PI * 8.5, 3.6, 1.0, bond=1), PulseSpec(TWO_PI * 8.5, 2.4, 1.0, bond=2), 6.0)
+    full = stirap_sequence(*pulses, EvolutionConfig(dt=6.0 / 512))
+    slim = stirap_sequence(*pulses, EvolutionConfig(dt=6.0 / 512, store_states=False))
+    assert full.states.shape == (513, 3)
+    assert slim.states.shape == (2, 3)
+    assert np.array_equal(slim.times, [0.0, 6.0])
+    assert np.array_equal(full.final_state, slim.final_state)
 
 
 def test_evolution_is_deterministic():

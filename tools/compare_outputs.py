@@ -3,15 +3,17 @@
     python3 tools/compare_outputs.py OLD_TREE NEW_TREE
 
 Each tree runs every demos/configs/*.json command (configs read from
-NEW_TREE), `simulate` with no config, and `sweep offset` with no config at
---jobs 1 and 2 with --dt 0.005, writing under the same --out path so printed
-paths agree. Exit codes, stdout, stderr and output files are compared byte
-for byte; a differing JSON file names its differing keys. Exits 1 on any
-difference.
+NEW_TREE), `spectrum instantaneous` on the spectrum config, `readout
+decompose` of the trace its own `readout synth` run wrote, `simulate` and
+`validate` with no config, and `sweep offset` with no config at --jobs 1 and
+2 with --dt 0.005, writing under the same --out path so printed paths agree.
+Exit codes, stdout, stderr and output files are compared byte for byte; a
+differing JSON file names its differing keys. Exits 1 on any difference.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -19,34 +21,45 @@ import tempfile
 SECTIONS = ("simulate", "sweep", "spectrum", "waveform", "readout", "stirap")
 
 
-def cases(configs):
+def cases(configs, work, out):
     for name in sorted(n for n in os.listdir(configs) if n.endswith(".json")):
-        with open(os.path.join(configs, name), encoding="utf-8") as fh:
+        path = os.path.join(configs, name)
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
         command, stem = next(s for s in SECTIONS if s in cfg), name[:-5]
         # the argument after the command: the sweep kind, synth, or the file name's suffix
         action = (cfg["sweep"]["kind"] if command == "sweep" else "synth" if command == "waveform"
                   else stem.partition("_")[2])
-        yield stem, ["--config", os.path.join(configs, name), command] + ([action] if action else [])
+        yield stem, ["--config", path, command] + ([action] if action else [])
+        if stem == "spectrum_excitation":
+            yield "spectrum_instantaneous", ["--config", path, "spectrum", "instantaneous"]
+        if stem == "readout_synth":
+            decompose = os.path.join(work, "readout_decompose.json")
+            trace = os.path.join(out, stem, "trace.csv")
+            with open(decompose, "w", encoding="utf-8") as fh:
+                json.dump({"readout": {**cfg["readout"], "trace_path": trace}}, fh)
+            yield "readout_decompose", ["--config", decompose, "readout", "decompose"]
     yield "simulate_no_config", ["simulate"]
+    yield "validate_no_config", ["validate"]
     for jobs in ("1", "2"):
         yield f"sweep_offset_jobs{jobs}", ["--jobs", jobs, "--dt", "0.005", "sweep", "offset"]
 
 
 def run(tree, configs, out):
-    """{case: (exit code, stdout, stderr, {file name: bytes})} for one tree; empties out."""
+    """{case: (exit code, stdout, stderr, {file name: bytes})} for one tree; removes out."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
+    work = os.path.dirname(out)
     results = {}
-    for label, argv in cases(configs):
+    for label, argv in cases(configs, work, out):
         folder = os.path.join(out, label)
         proc = subprocess.run([sys.executable, "-m", "ricemele.cli", "--out", folder, *argv],
-                              capture_output=True, env=env, cwd=os.path.dirname(out))
+                              capture_output=True, env=env, cwd=work)
         files = {}
         for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
             with open(os.path.join(folder, name), "rb") as fh:
                 files[name] = fh.read()
-            os.remove(os.path.join(folder, name))
         results[label] = (proc.returncode, proc.stdout, proc.stderr, files)
+    shutil.rmtree(out, ignore_errors=True)
     return results
 
 
