@@ -9,6 +9,8 @@ Units: angular frequencies in rad/us, times in us, hbar = 1. Config
 files use plain MHz, which config.read multiplies by 2*pi on ingest.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: sweeps reads it
+
 from .evolution import (
     EvolutionConfig,
     EvolutionRecord,
@@ -75,7 +77,6 @@ from .sweeps import (
     run_sweep,
 )
 
-__version__ = "0.1.0"
 
 __all__ = [
     "TWO_PI",

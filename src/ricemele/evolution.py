@@ -2,7 +2,10 @@
 
 The propagator is the exact exponential of the midpoint Hamiltonian on
 each step, computed by eigendecomposition, so every step is unitary to
-floating-point accuracy regardless of step size.
+floating-point accuracy regardless of step size. The state is carried in
+each step's eigenbasis: one step multiplies its coefficients by the
+overlap of consecutive eigenbases times the step's phases, one small
+complex matrix-vector product.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ DEFAULT_STEPS_PER_CYCLE = 4096
 # allocated: its states or Hamiltonians would take gigabytes. No test,
 # demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**21
+# Bytes of step matrices _propagate builds at a time: a bound on its extra
+# memory, large enough that the stacked matmuls amortise their call cost.
+_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,7 @@ class PulseSpec:
 
 
 def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i h dt) to psi via eigendecomposition of the symmetric h."""
+    """Apply exp(-i h dt) to psi via eigendecomposition of the Hermitian h."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     return _propagate(np.linalg.eigh(np.asarray(h)[None]), dt, psi, store=False)[0]
@@ -84,15 +90,41 @@ def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
 
 def _propagate(decomposition, dt, psi0, store):
     """Shared stepping core: apply exp(-i h[k] dt) for each Hamiltonian of
-    the eigendecomposed stack (w, v) in turn."""
+    the eigendecomposed stack (w, v) in turn.
+
+    The state is stepped as its coefficients c_k in step k's eigenbasis:
+
+        c_0 = p_0 * (v_0^H psi0),  c_k = A_k c_(k-1),  psi_k = v_k c_k,
+        A_k = p_k[:, None] * (v_k^H v_(k-1)),  p_k = exp(-i w_k dt),
+
+    so each step is one complex matrix-vector product. The A_k are built
+    with stacked matmuls, a chunk of steps at a time within _CHUNK_BYTES.
+    Returns the final state psi_(K-1) and, with store, psi0 followed by
+    every psi_k, K + 1 states.
+    """
     w, v = decomposition
+    n_steps, n = w.shape
+    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     phases = np.exp(-1j * w * dt)
-    psi = np.asarray(psi0, dtype=complex)
-    states = [psi] if store else None
-    for vk, phase in zip(v, phases):
-        psi = vk @ (phase * (vk.conj().T @ psi))
-        if store:
-            states.append(psi)
+    c = phases[0] * (v[0].conj().T @ psi0)
+    coeffs = np.empty((n_steps, n), dtype=complex) if store else None
+    if store:
+        coeffs[0] = c
+    for start in range(1, n_steps, chunk):
+        stop = min(start + chunk, n_steps)
+        steps = phases[start:stop, :, None] * (v[start:stop].conj().swapaxes(1, 2) @ v[start - 1:stop - 1])
+        for k, a in enumerate(steps, start):
+            c = a.dot(c)  # the bits of a @ c, with less overhead per call
+            if store:
+                coeffs[k] = c
+    psi = v[-1] @ c
+    if not store:
+        return psi, None
+    states = np.empty((n_steps + 1, n), dtype=complex)
+    states[0] = psi0
+    for start in range(0, n_steps, chunk):
+        states[start + 1:start + chunk + 1] = (v[start:start + chunk] @ coeffs[start:start + chunk, :, None])[..., 0]
+    states[-1] = psi  # the no-store expression, so the final state does not depend on store
     return psi, states
 
 
@@ -175,7 +207,7 @@ def _record(spec, decomposition, duration, psi0, store, protocol=None):
     dt = duration / n_steps
     psi, states = _propagate(decomposition, dt, psi0, store)
     if store:
-        times, states = np.linspace(0.0, duration, n_steps + 1), np.stack(states)
+        times = np.linspace(0.0, duration, n_steps + 1)
     else:
         times, states = np.array([0.0, duration]), np.stack([psi0, psi])
     return EvolutionRecord(times=times, states=states, spec=spec, dt=dt, protocol=protocol)

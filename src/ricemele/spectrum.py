@@ -81,14 +81,51 @@ def find_spectral_peaks(x: np.ndarray, y: np.ndarray, min_height_frac: float = 0
     return np.asarray(x)[idx]
 
 
+# scipy's golden-section constants, its rounded 2 / (1 + sqrt(5)) included
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+
+
+def _golden_minimum(f, xa, xb, xc, xtol):
+    """Least f found by golden-section search of the bracket (xa, xb, xc).
+
+    A step-for-step port of scipy.optimize.minimize_scalar(f, bracket=
+    (xa, xb, xc), method="golden", options={"xtol": xtol}) that returns its
+    res.fun bit for bit, with its bracket checks and iteration cap.
+    """
+    if xa > xc:
+        xa, xc = xc, xa
+    if not (xa < xb and xb < xc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this requirement: "
+                         "(xa < xb) and (xb < xc)")
+    fa, fb, fc = f(xa), f(xb), f(xc)
+    if not (fb < fa and fb < fc):
+        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this requirement: "
+                         "(f(xb) < f(xa)) and (f(xb) < f(xc))")
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
+    else:
+        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
+            f2, f1 = f1, f(x1)
+    return f1 if f1 < f2 else f2
+
+
 def max_band_width(protocol: PumpProtocol) -> float:
     """Maximum Bloch band width along the protocol over one period.
 
     Dense scan at 512 times followed by golden-section refinement of the
     bracketing interval; relative tolerance 1e-6 on the period coordinate.
     """
-    from scipy.optimize import minimize_scalar  # imported on use: scipy adds 1.5 s to start-up
-
     period, n_times = protocol.period, 512
 
     def width_at(t):
@@ -106,13 +143,8 @@ def max_band_width(protocol: PumpProtocol) -> float:
     # bracket the dense maximum with its periodic neighbors
     ta = times[k] - period / n_times
     tc = times[k] + period / n_times
-    res = minimize_scalar(
-        lambda t: -width_at(t),
-        bracket=(ta, times[k], tc),
-        method="golden",
-        options={"xtol": 1e-6},
-    )
-    return max(float(-res.fun), float(widths[k]))
+    least = _golden_minimum(lambda t: -width_at(t), ta, times[k], tc, xtol=1e-6)
+    return max(float(-least), float(widths[k]))
 
 
 def predict_optimal_period(protocol: PumpProtocol) -> float:

@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from . import defaults, evolution, protocols
+from . import __version__, defaults, evolution, protocols
 from .config import chain_to_dict, config_hash, protocol_to_dict, pyify, read, write_json, write_lines
 from .model import TWO_PI, ChainSpec
 from .protocols import PumpProtocol, sample_trajectory
@@ -66,13 +66,7 @@ KINDS = tuple(_KINDS)
 
 
 def provenance() -> str:
-    from importlib import metadata  # imported on use: it adds 25 ms to start-up
-
-    try:
-        version = metadata.version("ricemele")
-    except metadata.PackageNotFoundError:
-        version = "0+unknown"
-    return f"ricemele {version}"
+    return f"ricemele {__version__}"
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,15 @@ def test_console_script_is_declared():
     assert callable(main)
 
 
+def test_package_version_matches_pyproject():
+    # Sweep provenance lines print ricemele.__version__; the release
+    # number lives in pyproject.toml, so the two must agree.
+    tomllib = pytest.importorskip("tomllib")
+
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == ricemele.__version__
+
+
 @pytest.mark.skipif(not _installed("ricemele"),
                     reason="ricemele is not installed (importlib.metadata.PackageNotFoundError)")
 def test_installed_entry_point_matches_declaration():
@@ -408,10 +417,9 @@ print(json.dumps(steps))
 
 def test_commands_without_scipy_never_import_it(tmp_path):
     # scipy, the process pool and the installed-version lookup load inside
-    # the functions that use them. Of these commands only sweep reaches
-    # one: its provenance line reads the installed version.
+    # the functions that use them; none of these commands reaches one.
     runs = [("simulate.json", ["simulate"], []),
-            ("sweep_offset.json", ["--jobs", "1", "sweep", "offset"], ["importlib.metadata"]),
+            ("sweep_offset.json", ["--jobs", "1", "sweep", "offset"], []),
             ("spectrum_excitation.json", ["spectrum", "excitation"], []),
             ("spectrum_excitation.json", ["spectrum", "instantaneous"], []),
             ("waveform_pump.json", ["waveform", "synth"], []),

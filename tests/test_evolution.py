@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+from ricemele import evolution
 from ricemele.evolution import (
     MAX_STEPS,
     EvolutionConfig,
@@ -17,7 +19,7 @@ from ricemele.evolution import (
     stirap_sequence,
     transfer_efficiency,
 )
-from ricemele.model import TWO_PI, ChainSpec, ParameterPoint, build_hamiltonian
+from ricemele.model import TWO_PI, ChainSpec, ParameterPoint, build_hamiltonian, build_hamiltonians
 from ricemele.protocols import PumpProtocol, sample_trajectory
 
 CHAIN = ChainSpec(5)
@@ -48,6 +50,65 @@ def test_propagate_step_is_unitary_and_rejects_bad_dt():
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
         propagate_step(h, 0.0, psi)
+
+
+def test_propagate_step_matches_expm_for_complex_hermitian_h():
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 12):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (h + h.conj().T) / 2
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        for dt in (0.01, 0.37, 2.0):
+            np.testing.assert_allclose(propagate_step(h, dt, psi), expm(-1j * dt * h) @ psi, rtol=0, atol=1e-12)
+    # the core's overlaps v_k^H v_(k-1) between steps of a complex stack
+    hs = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
+    hs = (hs + hs.conj().swapaxes(1, 2)) / 2
+    expected = psi = np.ones(6, dtype=complex) / np.sqrt(6)
+    for h in hs:
+        expected = expm(-0.3j * h) @ expected
+    psi, states = evolution._propagate(np.linalg.eigh(hs), 0.3, psi, store=True)
+    np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
+    assert np.array_equal(states[-1], psi)
+
+
+def site_basis_states(decomposition, dt, psi0):
+    """Every state of the midpoint loop stepped in the site basis, one
+    exp(-i h_k dt) = v_k diag(phase_k) v_k^H per step."""
+    w, v = decomposition
+    psi, states = np.asarray(psi0, dtype=complex), [psi0]
+    for vk, phase in zip(v, np.exp(-1j * w * dt)):
+        psi = vk @ (phase * (vk.conj().T @ psi))
+        states.append(psi)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n_sites", [5, 30])
+def test_eigenbasis_stepping_matches_site_basis_loop(n_sites):
+    chain = ChainSpec(n_sites)
+    psi0 = start_state(chain, PROTO, 2)
+    record = evolve(chain, PROTO, psi0)
+    decomposition = evolution._decomposition(evolution.schedule_key(chain, PROTO))
+    assert len(record.states) == 2 * 4096 + 1
+    np.testing.assert_allclose(record.states, site_basis_states(decomposition, record.dt, psi0), rtol=0, atol=1e-13)
+
+
+def test_stirap_eigenbasis_stepping_matches_site_basis_loop():
+    pump, stokes = PulseSpec(TWO_PI * 8.5, 3.6, 1.0, bond=1), PulseSpec(TWO_PI * 8.5, 2.4, 1.0, bond=2)
+    record = stirap_sequence(pump, stokes, 6.0)
+    t_mid = (np.arange(4096) + 0.5) * (6.0 / 4096)
+    hs = build_hamiltonians(ChainSpec(3), pump.envelope(t_mid), stokes.envelope(t_mid), np.zeros(4096))
+    expected = site_basis_states(np.linalg.eigh(hs), 6.0 / 4096, np.array([1.0, 0.0, 0.0], dtype=complex))
+    np.testing.assert_allclose(record.states, expected, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 16 * 25 * 7])
+def test_chunk_size_does_not_change_any_state(monkeypatch, chunk_bytes):
+    cfgs = [EvolutionConfig(dt=PROTO.period / 1000, store_states=store) for store in (True, False)]
+    before = [evolve(CHAIN, PROTO, start_state(), cfg).states for cfg in cfgs]
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)  # 1 or 7 steps per chunk
+    for cfg, states in zip(cfgs, before):
+        assert np.array_equal(evolve(CHAIN, PROTO, start_state(), cfg).states, states)
 
 
 def test_step_reversal_recovers_state():

@@ -1,11 +1,18 @@
 """Spectra, band widths, optimal-period estimation, and CSV output."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+
+import ricemele
 
 from ricemele.evolution import EvolutionRecord, transfer_efficiency
 from ricemele.model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width
-from ricemele.protocols import PumpProtocol
+from ricemele.protocols import KINDS, PumpProtocol, sample_trajectory
 from ricemele.spectrum import (
     ExcitationSpectrum,
     efficiency_vs_period,
@@ -21,6 +28,7 @@ from ricemele.spectrum import (
     write_excitation_csv,
     write_spectrum_csv,
 )
+from ricemele.spectrum import _golden_minimum
 
 J0 = TWO_PI * 1.5
 D0 = TWO_PI * 7.0
@@ -118,6 +126,67 @@ def test_control_freak_is_dispersionless():
     assert max_band_width(proto) == 0.0
     with pytest.raises(ValueError):
         predict_optimal_period(proto)
+
+
+def scipy_max_band_width(protocol):
+    """max_band_width as written on scipy.optimize.minimize_scalar."""
+    period, n_times = protocol.period, 512
+
+    def width_at(t):
+        j1, j2, delta = sample_trajectory(protocol, np.array([t % period]))
+        return bloch_band_width(ParameterPoint(float(j1[0]), float(j2[0]), float(delta[0])))
+
+    times = np.linspace(0.0, period, n_times, endpoint=False)
+    widths = np.array([width_at(t) for t in times])
+    k = int(np.argmax(widths))
+    if widths[k] <= 0.0:
+        return 0.0
+    res = minimize_scalar(lambda t: -width_at(t), bracket=(times[k] - period / n_times, times[k],
+                          times[k] + period / n_times), method="golden", options={"xtol": 1e-6})
+    return max(float(-res.fun), float(widths[k]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_max_band_width_matches_scipy_golden_search_exactly(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(24):
+        proto = PumpProtocol(kind, TWO_PI * rng.uniform(0.2, 3.0), TWO_PI * rng.uniform(0.0, 10.0),
+                             TWO_PI * rng.uniform(-3.0, 3.0), float(rng.uniform(0.1, 5.0)),
+                             int(rng.integers(1, 4)))
+        assert max_band_width(proto) == scipy_max_band_width(proto)
+
+
+def test_golden_minimum_matches_scipy_and_keeps_its_bracket_checks():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        a, b = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+
+        def f(x):
+            return float(np.cosh(a * (x - b)) + 0.01 * np.sin(5.0 * x))
+
+        xb = b + rng.uniform(-0.01, 0.01)
+        bracket = (xb - rng.uniform(0.5, 1.0), xb, xb + rng.uniform(0.5, 1.0))
+        ref = minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": 1e-6}).fun
+        assert _golden_minimum(f, *bracket, xtol=1e-6) == ref
+    # a reversed bracket is swapped, as scipy does
+    assert _golden_minimum(abs, 1.0, 0.1, -1.0, xtol=1e-6) == minimize_scalar(
+        abs, bracket=(1.0, 0.1, -1.0), method="golden", options={"xtol": 1e-6}).fun
+    for bracket, f in (((0.0, 2.0, 1.0), abs), ((-1.0, 0.0, 1.0), lambda x: 1.0)):
+        with pytest.raises(ValueError, match="Bracketing values"):
+            minimize_scalar(f, bracket=bracket, method="golden")
+        with pytest.raises(ValueError, match="Bracketing values"):
+            _golden_minimum(f, *bracket, xtol=1e-6)
+
+
+def test_predict_optimal_period_does_not_import_scipy():
+    probe = ("import sys; from ricemele import predict_optimal_period, PumpProtocol, TWO_PI; "
+             "predict_optimal_period(PumpProtocol('experimental', TWO_PI * 1.5, TWO_PI * 7.0)); "
+             "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(ricemele.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_predict_optimal_period_inverts_width():

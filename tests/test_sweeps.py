@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ricemele
 from ricemele.config import config_hash
 from ricemele.evolution import EvolutionConfig, evolve, initial_dimer_state, mean_position_and_spread
 from ricemele.model import TWO_PI, ChainSpec
@@ -83,7 +84,7 @@ def test_offset_sweep_rows_and_metadata():
     assert result.values.shape == (4, 1)
     assert np.all((result.values >= 0.0) & (result.values <= 1.0))
     assert result.metadata["kind"] == "offset"
-    assert result.metadata["provenance"].startswith("ricemele ")
+    assert result.metadata["provenance"] == f"ricemele {ricemele.__version__}"
     assert len(result.metadata["config_sha256"]) == 64
 
 

@@ -8,11 +8,14 @@ decompose` of the trace its own `readout synth` run wrote, `simulate` and
 `validate` with no config, and `sweep offset` with no config at --jobs 1 and
 2 with --dt 0.005, writing under the same --out path so printed paths agree.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
-differing JSON file names its differing keys. Exits 1 on any difference.
+differing JSON file names its differing keys, and a differing CSV or JSON
+file gives the largest absolute difference between numbers at the same
+place in both. Exits 1 on any difference.
 """
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -69,6 +72,31 @@ def differing_keys(a, b, path=""):
     return [] if a == b else [path.lstrip(".") or "(whole file)"]
 
 
+def numbers(data, name):
+    """{place: value} of every number in a JSON or CSV file."""
+    if name.endswith(".json"):
+        def leaves(x, place):
+            if isinstance(x, (dict, list)):
+                for key, item in x.items() if isinstance(x, dict) else enumerate(x):
+                    yield from leaves(item, place + (key,))
+            elif isinstance(x, (int, float)) and not isinstance(x, bool):
+                yield place, float(x)
+        return dict(leaves(json.loads(data), ()))
+    found = {}
+    for row, line in enumerate(data.decode().splitlines()):
+        for col, field in enumerate(re.split(r"[,:\s]+", line)):
+            try:
+                found[row, col] = float(field)
+            except ValueError:
+                pass
+    return found
+
+
+def largest_difference(a, b, name):
+    x, y = numbers(a, name), numbers(b, name)
+    return max((abs(x[k] - y[k]) for k in x.keys() & y.keys()), default=0.0)
+
+
 def main(old, new):
     configs = os.path.join(os.path.abspath(new), "demos", "configs")
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
@@ -85,7 +113,9 @@ def main(old, new):
                 diffs.append(f"{label}/{name}: written by one tree only")
             elif a != b:
                 keys = differing_keys(json.loads(a), json.loads(b)) if name.endswith(".json") else []
-                diffs.append(f"{label}/{name}: differs" + (f" at {', '.join(keys)}" if keys else ""))
+                largest = (f", largest numeric difference {largest_difference(a, b, name):.3g}"
+                           if name.endswith((".json", ".csv")) else "")
+                diffs.append(f"{label}/{name}: differs" + (f" at {', '.join(keys)}" if keys else "") + largest)
     print("\n".join(diffs) or "no differences")
     return 1 if diffs else 0
 
