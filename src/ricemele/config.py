@@ -73,16 +73,20 @@ def check_command_section(cfg: dict, command: str) -> None:
 
 
 @contextmanager
-def section(cfg: dict, name: str):
+def section(cfg: dict, name: str, keys: tuple[str, ...] | None = None):
     """Yield cfg[name] ({} when absent); a TypeError or ValueError raised in
     the block becomes ConfigError("bad <name> section: ...").
 
+    Given keys, a key outside them is refused, so a typo is never ignored.
     End the block before any evolution: LinAlgError is a ValueError too.
     """
     try:
         values = cfg.get(name, {})
         if not isinstance(values, dict):
             raise TypeError(f"expected a JSON object, got {values!r}")
+        unknown = sorted(set(values) - set(keys)) if keys else []
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}; the section takes {', '.join(keys)}")
         yield values
     except ConfigError:
         raise
@@ -110,16 +114,15 @@ def flag(value: Any) -> bool:
 
 
 def resolve_chain(cfg: dict) -> ChainSpec:
-    with section(cfg, "chain") as values:
-        cells = values.get("cells") or ()  # none: dimer cells from site 1
+    with section(cfg, "chain", ("n_sites", "delta_parity")) as values:
         return ChainSpec(n_sites=read(values, "n_sites", defaults.CHAIN["n_sites"], int),
-                         cells=tuple(tuple(int(s) for s in cell) for cell in cells),
                          delta_parity=read(values, "delta_parity", defaults.CHAIN["delta_parity"], int))
 
 
 def resolve_protocol(cfg: dict) -> PumpProtocol:
     base = defaults.PROTOCOL
-    with section(cfg, "protocol") as values:
+    keys = ("kind", "j_max_mhz", "delta0_mhz", "delta_offset_mhz", "period_us", "n_cycles")
+    with section(cfg, "protocol", keys) as values:
         return PumpProtocol(
             kind=read(values, "kind", base["kind"], str),
             j_max=read(values, "j_max_mhz", base["j_max"]),
@@ -131,10 +134,7 @@ def resolve_protocol(cfg: dict) -> PumpProtocol:
 
 
 def resolve_evolution(cfg: dict, dt_override: float | None = None) -> EvolutionConfig:
-    with section(cfg, "evolution") as values:
-        unknown = sorted(set(values) - {"dt_us", "store_states"})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}; the section takes dt_us and store_states")
+    with section(cfg, "evolution", ("dt_us", "store_states")) as values:
         dt = values.get("dt_us") if dt_override is None else dt_override
         return EvolutionConfig(dt=None if dt is None else float(dt),
                                store_states=read(values, "store_states", True, flag))

@@ -71,10 +71,10 @@ class PulseSpec:
     bond: int = 1
 
     def __post_init__(self):
-        if self.peak_rabi < 0:
-            raise ValueError("peak_rabi must be non-negative")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not 0 <= self.peak_rabi < np.inf:
+            raise ValueError(f"peak_rabi must be non-negative and finite, got {self.peak_rabi!r}")
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
 
     def envelope(self, t):
         t = np.asarray(t, dtype=float)
@@ -228,15 +228,14 @@ def initial_dimer_state(
         raise ValueError("branch must be 'lower' or 'upper'")
     if not 1 <= cell_index <= spec.n_cells:
         raise ValueError("cell_index out of range")
-    cell = spec.cells[cell_index - 1]
-    if len(cell) != 2:
+    a, b = 2 * cell_index - 1, 2 * cell_index  # the cell's sites
+    if b > spec.n_sites:
         raise ValueError("chosen cell must have 2 sites")
     if point.j2 != 0.0:
         raise ValueError("point must be dimerized (J2 = 0) for cell preparation")
     if point.j1 == 0.0:
         raise ValueError("degenerate dimer: J1 = 0 leaves the doublet unresolved")
     signs = spec.site_signs()
-    a, b = cell
     block = np.array(
         [
             [point.delta * signs[a - 1], -point.j1],
@@ -259,7 +258,7 @@ def cell_populations(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
     Cells hold at most two sites, so the site-to-cell indicator product
     adds the same terms, bit for bit, as summing each cell's sites.
     """
-    owner = np.repeat(np.arange(spec.n_cells), [len(cell) for cell in spec.cells])
+    owner = np.arange(spec.n_sites) // 2
     return np.abs(np.asarray(psi)) ** 2 @ np.eye(spec.n_cells)[owner]
 
 

@@ -1,4 +1,4 @@
-"""Rice-Mele chain model: cell partitions, Hamiltonian assembly, band width.
+"""Rice-Mele chain model: dimer cells, Hamiltonian assembly, band width.
 
 Units: all couplings and detunings are angular frequencies in rad/us,
 time is in microseconds, hbar = 1. Configuration files quote ordinary
@@ -13,7 +13,7 @@ sits at +-Omega / 2. An isolated pair of sites therefore has lines at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,14 +32,15 @@ def default_cells(n_sites: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Open chain of n_sites sites grouped into ordered unit cells.
+    """Open chain of n_sites sites grouped into dimer cells {1,2},{3,4},...
 
-    delta_parity fixes the sign pattern of the on-site imbalance:
-    +1 puts +delta on odd sites, -1 flips the whole pattern.
+    The cells always follow from n_sites (see default_cells): an odd
+    chain ends in a single-site cell. delta_parity fixes the sign pattern
+    of the on-site imbalance: +1 puts +delta on odd sites, -1 flips the
+    whole pattern.
     """
 
     n_sites: int
-    cells: tuple[tuple[int, ...], ...] = ()
     delta_parity: int = +1
 
     def __post_init__(self):
@@ -47,35 +48,25 @@ class ChainSpec:
             raise ValueError("n_sites must be positive")
         if self.delta_parity not in (+1, -1):
             raise ValueError("delta_parity must be +1 or -1")
-        cells = self.cells or default_cells(self.n_sites)
-        object.__setattr__(self, "cells", tuple(tuple(c) for c in cells))
-        self._validate_cells()
 
-    def _validate_cells(self):
-        flat = [s for c in self.cells for s in c]
-        if flat != list(range(1, self.n_sites + 1)):
-            raise ValueError("cells must be contiguous, disjoint, ordered, and cover 1..N")
-        for i, c in enumerate(self.cells):
-            if len(c) not in (1, 2):
-                raise ValueError("cells must have 1 or 2 sites")
-            if len(c) == 1 and i != len(self.cells) - 1:
-                raise ValueError("only the last cell may be a singleton")
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        return default_cells(self.n_sites)
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return (self.n_sites + 1) // 2
 
     def cell_of_site(self, site: int) -> int:
         """1-based cell index containing a 1-based site index."""
-        for i, c in enumerate(self.cells, start=1):
-            if site in c:
-                return i
-        raise ValueError(f"site {site} out of range")
+        if not 1 <= site <= self.n_sites:
+            raise ValueError(f"site {site} out of range")
+        return (site + 1) // 2
 
     def intra_bonds(self) -> np.ndarray:
-        """Boolean mask over bonds (1..N-1); True where bond (i, i+1) is intra-cell."""
-        first = {c[0] for c in self.cells if len(c) == 2}
-        return np.array([b in first for b in range(1, self.n_sites)], dtype=bool)
+        """Boolean mask over bonds (1..N-1); True where bond (i, i+1) is intra-cell,
+        that is for odd i."""
+        return np.arange(1, self.n_sites) % 2 == 1
 
     def site_signs(self) -> np.ndarray:
         """Per-site sign of delta on the diagonal."""

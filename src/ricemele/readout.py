@@ -45,8 +45,8 @@ class IonizationModel:
             raise ValueError("ramp needs matching 1-D time and field samples")
         if np.any(np.diff(times) <= 0) or np.any(np.diff(fields) <= 0):
             raise ValueError("ramp must be strictly increasing")
-        if self.sigma_t <= 0:
-            raise ValueError("sigma_t must be positive")
+        if not 0 < self.sigma_t < np.inf:
+            raise ValueError(f"sigma_t must be positive and finite, got {self.sigma_t!r}")
 
     def field_at(self, t):
         return np.interp(t, self.ramp_times, self.ramp_fields)

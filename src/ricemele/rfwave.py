@@ -48,10 +48,10 @@ class ToneSchedule:
     def __post_init__(self):
         if len(self.sites) != 2 or self.sites[0] == self.sites[1]:
             raise ValueError("sites must name two distinct site indices")
-        if self.carrier <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.carrier < np.inf:
+            raise ValueError(f"carrier frequency must be positive and finite, got {self.carrier!r}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def simulate_autler_townes_spectrum(
     omega: float, detunings: np.ndarray, linewidth: float
 ) -> np.ndarray:
     """Doublet response: Lorentzian peaks at +-omega/2, separation omega."""
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
+    if not 0 < linewidth < np.inf:
+        raise ValueError(f"linewidth must be positive and finite, got {linewidth!r}")
     detunings = np.asarray(detunings, dtype=float)
     return lorentzian(detunings - omega / 2.0, linewidth) + lorentzian(
         detunings + omega / 2.0, linewidth

@@ -59,8 +59,8 @@ def excitation_spectrum(
     """
     if not 1 <= probe_site <= spec.n_sites:
         raise ValueError("probe_site out of range")
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
+    if not 0 < linewidth < np.inf:
+        raise ValueError(f"linewidth must be positive and finite, got {linewidth!r}")
     detunings = np.asarray(detunings, dtype=float)
     w, v = np.linalg.eigh(build_hamiltonian(spec, point))
     weights = np.abs(v[probe_site - 1, :]) ** 2

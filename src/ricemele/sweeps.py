@@ -155,8 +155,8 @@ def _run_groups(groups, jobs):
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the kind's row function at every grid point, in row-major order.
 
-    Each point is mapped onto the spec: an n_sites value replaces the chain
-    (default cells), every other axis value the protocol field of its name.
+    Each point is mapped onto the spec: an n_sites value replaces the chain's
+    site count, every other axis value the protocol field of its name.
     The center_sizes chains start in the center cell, the others in
     spec.start_cell. Points with the same evolution.schedule_key run one
     after another and share its eigendecompositions, which are dropped
@@ -173,7 +173,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         point = dict(zip(axis_names, values))
         chain = spec.chain
         if "n_sites" in point:
-            chain = replace(chain, n_sites=int(point.pop("n_sites")), cells=())
+            chain = replace(chain, n_sites=int(point.pop("n_sites")))
         protocol = replace(spec.protocol, **{name: float(v) for name, v in point.items()})
         start_cell = (chain.n_cells + 1) // 2 if chain.n_sites in spec.center_sizes else spec.start_cell
         key = evolution.schedule_key(chain, protocol, spec.dt)

@@ -18,7 +18,6 @@ from ricemele.config import (
     check_command_section,
     config_hash,
     load_config,
-    resolve_chain,
     resolve_protocol,
 )
 from ricemele.evolution import MAX_STEPS
@@ -91,13 +90,6 @@ def test_resolve_protocol_units_and_errors():
         resolve_protocol({"protocol": {"kind": "bogus"}})
     with pytest.raises(ConfigError):
         resolve_protocol({"protocol": {"period_us": -1.0}})
-
-
-def test_resolve_chain_custom_cells():
-    chain = resolve_chain({"chain": {"n_sites": 4, "cells": [[1, 2], [3, 4]],
-                                     "delta_parity": -1}})
-    assert chain.cells == ((1, 2), (3, 4))
-    assert chain.delta_parity == -1
 
 
 def test_help_exits_cleanly(capsys):
@@ -299,21 +291,32 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
     ({**SIM_CONFIG, "chain": {"n_sites": 0}}, ["simulate"], "bad chain section: n_sites must be positive"),
     ({**SIM_CONFIG, "chain": {"n_sites": 5, "delta_parity": 2}}, ["simulate"],
      "bad chain section: delta_parity must be +1 or -1"),
+    ({**SIM_CONFIG, "chain": {"n_sites": 4, "cells": [[1, 2], [3, 4]]}}, ["simulate"],
+     "bad chain section: unknown keys ['cells']; the section takes n_sites, delta_parity"),
+    ({"protocol": {"period": 2.8}, "simulate": {}}, ["simulate"], "bad protocol section: unknown keys ['period']"),
     ({**SIM_CONFIG, "simulate": {"start_cell": 9}}, ["simulate"], "bad simulate section: cell_index out of range"),
     ({**SIM_CONFIG, "simulate": {"branch": "middle"}}, ["simulate"],
      "bad simulate section: branch must be 'lower' or 'upper'"),
     ({"spectrum": {"linewidth_mhz": 0.0}}, ["spectrum", "excitation"],
      "bad spectrum section: linewidth must be positive"),
+    ({"spectrum": {"linewidth_mhz": float("nan")}}, ["spectrum", "excitation"],
+     "bad spectrum section: linewidth must be positive and finite, got nan"),
     ({"spectrum": {"n_times": 1}}, ["spectrum", "instantaneous"], "bad spectrum section: need at least 2 time samples"),
     ({"spectrum": {"probe_site": 99}}, ["spectrum", "excitation"], "bad spectrum section: probe_site out of range"),
     ({"waveform": {**WAVEFORM, "tones": [{**TONE, "carrier_mhz": -5.0}]}}, ["waveform", "synth"],
      "bad waveform section: carrier frequency must be positive"),
+    ({"waveform": {**WAVEFORM, "tones": [{**TONE, "carrier_mhz": float("nan")}]}}, ["waveform", "synth"],
+     "bad waveform section: carrier frequency must be positive and finite, got nan"),
     ({"waveform": {**WAVEFORM, "bits": 40}}, ["waveform", "synth"], "bad waveform section: bits must be in 2..16"),
     ({"readout": {"sigma_t_us": 0.0}}, ["readout", "synth"], "bad readout section: sigma_t must be positive"),
+    ({"readout": {"sigma_t_us": float("nan")}}, ["readout", "synth"],
+     "bad readout section: sigma_t must be positive and finite, got nan"),
     ({"readout": {"weights": [1.0]}}, ["readout", "synth"], "bad readout section: one weight per basis state required"),
     ({"readout": {"noise": -1}}, ["readout", "synth"],
      "bad readout section: noise_amplitude must be non-negative and finite, got -1.0"),
     ({"stirap": {"width_us": 0.0}}, ["stirap"], "bad stirap section: width must be positive"),
+    ({"stirap": {"width_us": float("nan")}}, ["stirap"],
+     "bad stirap section: width must be positive and finite, got nan"),
     ({"stirap": {"peak_rabi_mhz": "x"}}, ["stirap"], "bad stirap section: could not convert string to float: 'x'"),
     ({"stirap": {"duration_us": 0}}, ["stirap"], "bad stirap section: duration must be positive and finite, got 0.0"),
     ({"stirap": {"duration_us": -6}}, ["stirap"], "bad stirap section: duration must be positive and finite, got -6.0"),
@@ -326,9 +329,10 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
     ({"waveform": {**WAVEFORM, "csv_dump": "false"}}, ["waveform", "synth"],
      "bad waveform section: expected true or false, got 'false'"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
-        "simulate-start_cell", "simulate-branch", "spectrum-linewidth", "spectrum-n_times", "spectrum-probe_site",
-        "waveform-carrier", "waveform-bits", "readout-sigma_t", "readout-weights", "readout-noise", "stirap-width",
-        "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
+        "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
+        "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "waveform-carrier", "waveform-carrier-nan",
+        "waveform-bits", "readout-sigma_t", "readout-sigma_t-nan", "readout-weights", "readout-noise", "stirap-width",
+        "stirap-width-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
         "evolution-store_states", "readout-normalize", "waveform-csv_dump"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back

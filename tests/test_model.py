@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ricemele.evolution import cell_populations, initial_dimer_state
 from ricemele.model import (
     ChainSpec,
     ParameterPoint,
@@ -34,15 +35,9 @@ def test_chain_spec_rejects_bad_input():
         ChainSpec(0)
     with pytest.raises(ValueError):
         ChainSpec(4, delta_parity=2)
-    # singleton anywhere but the end
-    with pytest.raises(ValueError):
-        ChainSpec(5, cells=((1,), (2, 3), (4, 5)))
-    # gap in coverage
-    with pytest.raises(ValueError):
-        ChainSpec(4, cells=((1, 2), (4,)))
-    # oversized cell
-    with pytest.raises(ValueError):
-        ChainSpec(3, cells=((1, 2, 3),))
+    # the cells follow from n_sites and are not an input
+    with pytest.raises(TypeError):
+        ChainSpec(4, cells=((1, 2), (3, 4)))
 
 
 def test_intra_bonds_alternate_starting_intra():
@@ -50,6 +45,34 @@ def test_intra_bonds_alternate_starting_intra():
     assert spec.intra_bonds().tolist() == [True, False, True, False, True]
     # the dangling site contributes one inter-cell bond at the end
     assert ChainSpec(5).intra_bonds().tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("n_sites", range(1, 65))
+def test_derived_cells_agree_with_default_cells(n_sites, parity):
+    cells = default_cells(n_sites)
+    # dimers from site 1, ordered and covering 1..N; only the last cell may be a single site
+    assert [s for c in cells for s in c] == list(range(1, n_sites + 1))
+    assert [len(c) for c in cells[:-1]] == [2] * (len(cells) - 1) and len(cells[-1]) in (1, 2)
+    owner = {s: i for i, c in enumerate(cells, start=1) for s in c}
+    spec = ChainSpec(n_sites, delta_parity=parity)
+    assert spec.cells == cells
+    assert spec.n_cells == len(cells)
+    assert [spec.cell_of_site(s) for s in range(1, n_sites + 1)] == [owner[s] for s in range(1, n_sites + 1)]
+    for site in (0, n_sites + 1):
+        with pytest.raises(ValueError):
+            spec.cell_of_site(site)
+    assert spec.intra_bonds().tolist() == [owner[b] == owner[b + 1] for b in range(1, n_sites)]
+    psi = np.random.default_rng(n_sites).normal(size=(3, n_sites)) + 0j
+    expected = [[sum(w[s - 1] for s in c) for c in cells] for w in np.abs(psi) ** 2]
+    np.testing.assert_array_equal(cell_populations(psi, spec), expected)
+    point = ParameterPoint(1.0, 0.0, 0.5)
+    for i, c in enumerate(cells, start=1):
+        if len(c) == 1:
+            with pytest.raises(ValueError, match="2 sites"):
+                initial_dimer_state(spec, point, i)
+        else:
+            assert np.flatnonzero(initial_dimer_state(spec, point, i)).tolist() == [c[0] - 1, c[1] - 1]
 
 
 def test_site_signs_follow_parity():

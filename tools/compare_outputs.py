@@ -5,8 +5,10 @@
 Each tree runs every demos/configs/*.json command (configs read from
 NEW_TREE), `spectrum instantaneous` on the spectrum config, `readout
 decompose` of the trace its own `readout synth` run wrote, `simulate` and
-`validate` with no config, and `sweep offset` with no config at --jobs 1 and
-2 with --dt 0.005, writing under the same --out path so printed paths agree.
+`validate` with no config, `sweep offset` with no config at --jobs 1 and
+2 with --dt 0.005, and `sweep size` and `sweep mean_position` with no
+config at --dt 0.01, writing under the same --out path so printed paths
+agree.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
 differing JSON file names its differing keys, and a differing CSV or JSON
 file gives the largest absolute difference between numbers at the same
@@ -46,6 +48,8 @@ def cases(configs, work, out):
     yield "validate_no_config", ["validate"]
     for jobs in ("1", "2"):
         yield f"sweep_offset_jobs{jobs}", ["--jobs", jobs, "--dt", "0.005", "sweep", "offset"]
+    for kind in ("size", "mean_position"):
+        yield f"sweep_{kind}", ["--dt", "0.01", "sweep", kind]
 
 
 def run(tree, configs, out):
