@@ -141,7 +141,10 @@ def _cmd_spectrum(args, cfg) -> int:
         else:
             probe = read(values, "probe_site", defaults.PROBE_SITE, int)
             linewidth = read(values, "linewidth_mhz", defaults.LINEWIDTH)
-            point = sample_trajectory(protocol, read(values, "probe_time_us", 0.0))
+            probe_time = read(values, "probe_time_us", 0.0)
+            if not 0 <= probe_time <= protocol.duration:
+                raise ValueError(f"probe_time must lie in [0, {protocol.duration!r}] us, got {probe_time!r}")
+            point = sample_trajectory(protocol, probe_time)
             # laid out in MHz, then scaled: each point is 2*pi times an even MHz step
             span = float(values.get("detuning_span_mhz", 3.0 * protocol.j_max / TWO_PI + 2.0))
             grid = TWO_PI * np.linspace(-span, span, read(values, "n_detunings", 1201, int))

@@ -1,11 +1,19 @@
 """Time evolution under the driven chain, state preparation, and observables.
 
-The propagator is the exact exponential of the midpoint Hamiltonian on
-each step, computed by eigendecomposition, so every step is unitary to
-floating-point accuracy regardless of step size. The state is carried in
-each step's eigenbasis: one step multiplies its coefficients by the
-overlap of consecutive eigenbases times the step's phases, one small
-complex matrix-vector product.
+Each step of length dt is the fourth-order commutator-free exponential
+integrator CF4 (Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011),
+CFET4:2; Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006)). With H-
+and H+ the Hamiltonian at the step's two Gauss nodes, it applies
+
+    exp(-i dt M2) exp(-i dt M1),  M1 = a1 H- + a2 H+,  M2 = a2 H- + a1 H+,
+    a1 = 1/4 + sqrt(3)/6,  a2 = 1/4 - sqrt(3)/6,
+
+M1 first. Both exponents are real symmetric, and each exponential is
+exact by eigendecomposition, so every step is unitary to floating-point
+accuracy regardless of step size. The default is 512 steps per cycle.
+The state is carried in each exponent's eigenbasis: one exponential
+multiplies its coefficients by the overlap of consecutive eigenbases
+times the exponent's phases, one small complex matrix-vector product.
 """
 
 from __future__ import annotations
@@ -13,17 +21,22 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
-DEFAULT_STEPS_PER_CYCLE = 4096
+DEFAULT_STEPS_PER_CYCLE = 512
 # Most steps one run may take. A larger run is refused before anything is
-# allocated: its states or Hamiltonians would take gigabytes. No test,
-# demo or benchmark run takes more than 262,145 steps.
-MAX_STEPS = 2**21
+# allocated: its states or its 2**21 exponent matrices, two per step, would
+# take gigabytes. No test, demo or benchmark run takes more than 262,145 steps.
+MAX_STEPS = 2**20
+# CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
+# exponent weights a1, a2 (see the module docstring).
+_NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
+_A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # Bytes of step matrices _propagate builds at a time: a bound on its extra
 # memory, large enough that the stacked matmuls amortise their call cost.
 _CHUNK_BYTES = 2**20
@@ -31,8 +44,9 @@ _CHUNK_BYTES = 2**20
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Stepping control. dt=None resolves at run time to period / 4096 for
-    evolve and to duration / 4096 for stirap_sequence."""
+    """Stepping control. dt is the length of one CF4 step, two exponentials;
+    dt=None resolves at run time to period / 512 for evolve and to
+    duration / 512 for stirap_sequence."""
 
     dt: float | None = None
     store_states: bool = True
@@ -75,6 +89,8 @@ class PulseSpec:
             raise ValueError(f"peak_rabi must be non-negative and finite, got {self.peak_rabi!r}")
         if not 0 < self.width < np.inf:
             raise ValueError(f"width must be positive and finite, got {self.width!r}")
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
 
     def envelope(self, t):
         t = np.asarray(t, dtype=float)
@@ -89,18 +105,19 @@ def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
 
 
 def _propagate(decomposition, dt, psi0, store):
-    """Shared stepping core: apply exp(-i h[k] dt) for each Hamiltonian of
-    the eigendecomposed stack (w, v) in turn.
+    """Shared stepping core: apply exp(-i h[k] dt) for each matrix of the
+    eigendecomposed stack (w, v) in turn.
 
-    The state is stepped as its coefficients c_k in step k's eigenbasis:
+    The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
         c_0 = p_0 * (v_0^H psi0),  c_k = A_k c_(k-1),  psi_k = v_k c_k,
         A_k = p_k[:, None] * (v_k^H v_(k-1)),  p_k = exp(-i w_k dt),
 
-    so each step is one complex matrix-vector product. The A_k are built
-    with stacked matmuls, a chunk of steps at a time within _CHUNK_BYTES.
+    so each exponential is one complex matrix-vector product. The A_k are
+    built with stacked matmuls, a chunk at a time within _CHUNK_BYTES.
     Returns the final state psi_(K-1) and, with store, psi0 followed by
-    every psi_k, K + 1 states.
+    every second psi_k (psi_1, psi_3, ...): the states after whole CF4
+    steps, K // 2 + 1 states.
     """
     w, v = decomposition
     n_steps, n = w.shape
@@ -120,17 +137,18 @@ def _propagate(decomposition, dt, psi0, store):
     psi = v[-1] @ c
     if not store:
         return psi, None
-    states = np.empty((n_steps + 1, n), dtype=complex)
+    v, coeffs = v[1::2], coeffs[1::2]
+    states = np.empty((len(coeffs) + 1, n), dtype=complex)
     states[0] = psi0
-    for start in range(0, n_steps, chunk):
+    for start in range(0, len(coeffs), chunk):
         states[start + 1:start + chunk + 1] = (v[start:start + chunk] @ coeffs[start:start + chunk, :, None])[..., 0]
     states[-1] = psi  # the no-store expression, so the final state does not depend on store
     return psi, states
 
 
 def _step_count(duration: float, dt: float | None, cycle: float) -> int:
-    """Steps of the grid nearest dt (None: cycle / 4096) that tiles
-    [0, duration], within MAX_STEPS."""
+    """Steps of the grid nearest dt (None: cycle / DEFAULT_STEPS_PER_CYCLE)
+    that tiles [0, duration], within MAX_STEPS."""
     if dt is None:
         dt = cycle / DEFAULT_STEPS_PER_CYCLE
     n_steps = max(1, int(round(duration / dt)))
@@ -162,18 +180,32 @@ def shared_decompositions():
         _shared.reset(token)
 
 
-def _decomposition(key):
-    """(w, v) of the midpoint Hamiltonians on the phase grid of a schedule key.
+def _cf4_decomposition(spec, couplings, n_steps, span):
+    """(w, v) of the CF4 exponents of n_steps equal steps over [0, span],
+    interleaved M1, M2 step by step: 2 n_steps real symmetric matrices.
 
-    Step j sits at cycle phase x_j = (j + 1/2) n_cycles / n_steps, the
-    midpoint time over the period, so the grid is the same at every period.
+    couplings maps an array of times to (J1, J2, delta) arrays of its
+    shape. H is linear in them, so each exponent is the Hamiltonian of the
+    weighted couplings at the step's two Gauss nodes.
+    """
+    nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
+    weighted = (np.stack([_A1 * c[:, 0] + _A2 * c[:, 1], _A2 * c[:, 0] + _A1 * c[:, 1]], axis=1).ravel()
+                for c in couplings(nodes))
+    return np.linalg.eigh(build_hamiltonians(spec, *weighted))
+
+
+def _decomposition(key):
+    """(w, v) of the CF4 exponents on the phase grid of a schedule key.
+
+    The Gauss nodes of step j sit at cycle phases (j + 1/2 -+ sqrt(3)/6)
+    n_cycles / n_steps, times over the period, so the grid is the same at
+    every period.
     """
     shared = _shared.get()
     if shared is not None and key in shared:
         return shared[key]
     spec, unit, n_steps = key
-    phase = (np.arange(n_steps) + 0.5) * unit.n_cycles / n_steps
-    decomposition = np.linalg.eigh(build_hamiltonians(spec, *sample_trajectory(unit, phase)))
+    decomposition = _cf4_decomposition(spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles)
     if shared is not None:
         shared[key] = decomposition
     return decomposition
@@ -185,7 +217,7 @@ def evolve(
     psi0: np.ndarray,
     cfg: EvolutionConfig = EvolutionConfig(),
 ) -> EvolutionRecord:
-    """Evolve psi0 through n_cycles of the protocol with midpoint stepping.
+    """Evolve psi0 through n_cycles of the protocol with CF4 steps.
 
     The Hamiltonian schedule is a function of the cycle phase, so runs at
     different periods with the same steps per cycle share one
@@ -202,8 +234,9 @@ def evolve(
 
 
 def _record(spec, decomposition, duration, psi0, store, protocol=None):
-    """Step psi0 through [0, duration], one equal step per decomposed Hamiltonian."""
-    n_steps = len(decomposition.eigenvalues)
+    """Step psi0 through [0, duration], one equal CF4 step per pair of
+    decomposed exponents; stores the states after whole steps."""
+    n_steps = len(decomposition.eigenvalues) // 2
     dt = duration / n_steps
     psi, states = _propagate(decomposition, dt, psi0, store)
     if store:
@@ -300,15 +333,14 @@ def stirap_sequence(
         psi0 = np.zeros(3, dtype=complex)
         psi0[0] = 1.0
 
-    def couplings(t_mid):
-        envs = {1: np.zeros(len(t_mid)), 2: np.zeros(len(t_mid))}
+    def couplings(t):
+        envs = {1: np.zeros(np.shape(t)), 2: np.zeros(np.shape(t))}
         for pulse in (pump, stokes):
             if pulse.bond not in envs:
                 raise ValueError("bond index must be 1 or 2 on a three-site chain")
-            envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t_mid)
-        return envs[1], envs[2], np.zeros(len(t_mid))
+            envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t)
+        return envs[1], envs[2], np.zeros(np.shape(t))
 
     n_steps = _step_count(duration, cfg.dt, duration)
-    t_mid = (np.arange(n_steps) + 0.5) * (duration / n_steps)
-    decomposition = np.linalg.eigh(build_hamiltonians(spec, *couplings(t_mid)))
+    decomposition = _cf4_decomposition(spec, couplings, n_steps, duration)
     return _record(spec, decomposition, duration, psi0, cfg.store_states)

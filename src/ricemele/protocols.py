@@ -71,7 +71,7 @@ def sample_trajectory(protocol: PumpProtocol, t):
     Scalar t returns a ParameterPoint; an array returns (j1, j2, delta) arrays.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or np.any(t_arr > protocol.duration + 1e-12):
+    if not np.all((t_arr >= 0) & (t_arr <= protocol.duration + 1e-12)):  # NaN fails too
         raise ValueError("t outside [0, n_cycles * period]")
     fn = _experimental if protocol.kind == "experimental" else _control_freak
     j1, j2, delta = fn(protocol, t_arr)

@@ -47,6 +47,8 @@ class IonizationModel:
             raise ValueError("ramp must be strictly increasing")
         if not 0 < self.sigma_t < np.inf:
             raise ValueError(f"sigma_t must be positive and finite, got {self.sigma_t!r}")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0!r}")
 
     def field_at(self, t):
         return np.interp(t, self.ramp_times, self.ramp_fields)

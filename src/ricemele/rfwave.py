@@ -52,6 +52,10 @@ class ToneSchedule:
             raise ValueError(f"carrier frequency must be positive and finite, got {self.carrier!r}")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        for name in ("rabi", "detuning", "phase"):
+            value = getattr(self, name)
+            if not callable(value) and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

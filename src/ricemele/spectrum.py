@@ -165,7 +165,8 @@ def transport_efficiency(spec: ChainSpec, protocol: PumpProtocol, start_cell: in
     """Destination-cell efficiency after n_cycles from start_cell's dimer state.
 
     The destination is start_cell advanced by one cell per cycle, clipped
-    to the end of the chain. dt=None steps period / 4096.
+    to the end of the chain. dt is the length of one CF4 step (see
+    evolution); dt=None takes 512 steps per period.
     """
     psi0 = evolution.initial_dimer_state(spec, sample_trajectory(protocol, 0.0), start_cell, branch)
     record = evolution.evolve(spec, protocol, psi0, evolution.EvolutionConfig(dt=dt, store_states=False))

@@ -87,7 +87,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.kind!r}, expected one of {KINDS}")
         evolution.EvolutionConfig(self.dt)  # rejects a dt that is not positive and finite
         # record what runs: mean_position starts in the center cell, and
-        # topt_collapse's period scans always step period / 4096
+        # topt_collapse's period scans always take 512 CF4 steps per period
         if self.kind == "mean_position":
             object.__setattr__(self, "start_cell", (self.chain.n_cells + 1) // 2)
         if self.kind == "topt_collapse":

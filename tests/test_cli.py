@@ -303,20 +303,26 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad spectrum section: linewidth must be positive and finite, got nan"),
     ({"spectrum": {"n_times": 1}}, ["spectrum", "instantaneous"], "bad spectrum section: need at least 2 time samples"),
     ({"spectrum": {"probe_site": 99}}, ["spectrum", "excitation"], "bad spectrum section: probe_site out of range"),
+    ({"spectrum": {"probe_time_us": float("nan")}}, ["spectrum", "excitation"],
+     "bad spectrum section: probe_time must lie in [0, 2.0] us, got nan"),
     ({"waveform": {**WAVEFORM, "tones": [{**TONE, "carrier_mhz": -5.0}]}}, ["waveform", "synth"],
      "bad waveform section: carrier frequency must be positive"),
     ({"waveform": {**WAVEFORM, "tones": [{**TONE, "carrier_mhz": float("nan")}]}}, ["waveform", "synth"],
      "bad waveform section: carrier frequency must be positive and finite, got nan"),
+    ({"waveform": {**WAVEFORM, "tones": [{**TONE, "rabi_mhz": float("nan")}]}}, ["waveform", "synth"],
+     "bad waveform section: rabi must be finite, got nan"),
     ({"waveform": {**WAVEFORM, "bits": 40}}, ["waveform", "synth"], "bad waveform section: bits must be in 2..16"),
     ({"readout": {"sigma_t_us": 0.0}}, ["readout", "synth"], "bad readout section: sigma_t must be positive"),
     ({"readout": {"sigma_t_us": float("nan")}}, ["readout", "synth"],
      "bad readout section: sigma_t must be positive and finite, got nan"),
+    ({"readout": {"t0_us": float("nan")}}, ["readout", "synth"], "bad readout section: t0 must be finite, got nan"),
     ({"readout": {"weights": [1.0]}}, ["readout", "synth"], "bad readout section: one weight per basis state required"),
     ({"readout": {"noise": -1}}, ["readout", "synth"],
      "bad readout section: noise_amplitude must be non-negative and finite, got -1.0"),
     ({"stirap": {"width_us": 0.0}}, ["stirap"], "bad stirap section: width must be positive"),
     ({"stirap": {"width_us": float("nan")}}, ["stirap"],
      "bad stirap section: width must be positive and finite, got nan"),
+    ({"stirap": {"pump_center_us": float("nan")}}, ["stirap"], "bad stirap section: center must be finite, got nan"),
     ({"stirap": {"peak_rabi_mhz": "x"}}, ["stirap"], "bad stirap section: could not convert string to float: 'x'"),
     ({"stirap": {"duration_us": 0}}, ["stirap"], "bad stirap section: duration must be positive and finite, got 0.0"),
     ({"stirap": {"duration_us": -6}}, ["stirap"], "bad stirap section: duration must be positive and finite, got -6.0"),
@@ -330,9 +336,10 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad waveform section: expected true or false, got 'false'"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
-        "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "waveform-carrier", "waveform-carrier-nan",
-        "waveform-bits", "readout-sigma_t", "readout-sigma_t-nan", "readout-weights", "readout-noise", "stirap-width",
-        "stirap-width-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
+        "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "spectrum-probe_time-nan",
+        "waveform-carrier", "waveform-carrier-nan", "waveform-rabi-nan", "waveform-bits", "readout-sigma_t",
+        "readout-sigma_t-nan", "readout-t0-nan", "readout-weights", "readout-noise", "stirap-width",
+        "stirap-width-nan", "stirap-pump_center-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
         "evolution-store_states", "readout-normalize", "waveform-csv_dump"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back

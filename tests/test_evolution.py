@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -20,7 +22,7 @@ from ricemele.evolution import (
     transfer_efficiency,
 )
 from ricemele.model import TWO_PI, ChainSpec, ParameterPoint, build_hamiltonian, build_hamiltonians
-from ricemele.protocols import PumpProtocol, sample_trajectory
+from ricemele.protocols import KINDS, PumpProtocol, sample_trajectory
 
 CHAIN = ChainSpec(5)
 PROTO = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 1.0, 2)
@@ -72,14 +74,26 @@ def test_propagate_step_matches_expm_for_complex_hermitian_h():
     assert np.array_equal(states[-1], psi)
 
 
-def site_basis_states(decomposition, dt, psi0):
-    """Every state of the midpoint loop stepped in the site basis, one
-    exp(-i h_k dt) = v_k diag(phase_k) v_k^H per step."""
-    w, v = decomposition
+def cf4_exponents(chain, couplings, n_steps, span):
+    """CF4's exponents M1, M2 of every step, interleaved, as weighted sums of
+    the Hamiltonians at the step's two Gauss nodes."""
+    root = np.sqrt(3.0) / 6.0
+    a1, a2 = 0.25 + root, 0.25 - root
+    mid = (np.arange(n_steps) + 0.5) * (span / n_steps)
+    early = build_hamiltonians(chain, *couplings(mid - root * span / n_steps))
+    late = build_hamiltonians(chain, *couplings(mid + root * span / n_steps))
+    return np.stack([a1 * early + a2 * late, a2 * early + a1 * late], axis=1).reshape(-1, *early.shape[1:])
+
+
+def site_basis_states(exponents, dt, psi0):
+    """psi0 and the state after every whole CF4 step, stepped in the site
+    basis: exp(-i M dt) = v diag(exp(-i w dt)) v^H for M1, then M2."""
+    w, v = np.linalg.eigh(exponents)
     psi, states = np.asarray(psi0, dtype=complex), [psi0]
-    for vk, phase in zip(v, np.exp(-1j * w * dt)):
+    for k, (vk, phase) in enumerate(zip(v, np.exp(-1j * w * dt))):
         psi = vk @ (phase * (vk.conj().T @ psi))
-        states.append(psi)
+        if k % 2:
+            states.append(psi)
     return np.array(states)
 
 
@@ -88,17 +102,17 @@ def test_eigenbasis_stepping_matches_site_basis_loop(n_sites):
     chain = ChainSpec(n_sites)
     psi0 = start_state(chain, PROTO, 2)
     record = evolve(chain, PROTO, psi0)
-    decomposition = evolution._decomposition(evolution.schedule_key(chain, PROTO))
-    assert len(record.states) == 2 * 4096 + 1
-    np.testing.assert_allclose(record.states, site_basis_states(decomposition, record.dt, psi0), rtol=0, atol=1e-13)
+    assert len(record.states) == 2 * 512 + 1
+    exponents = cf4_exponents(chain, lambda t: sample_trajectory(PROTO, t), 2 * 512, PROTO.duration)
+    np.testing.assert_allclose(record.states, site_basis_states(exponents, record.dt, psi0), rtol=0, atol=1e-13)
 
 
 def test_stirap_eigenbasis_stepping_matches_site_basis_loop():
     pump, stokes = PulseSpec(TWO_PI * 8.5, 3.6, 1.0, bond=1), PulseSpec(TWO_PI * 8.5, 2.4, 1.0, bond=2)
     record = stirap_sequence(pump, stokes, 6.0)
-    t_mid = (np.arange(4096) + 0.5) * (6.0 / 4096)
-    hs = build_hamiltonians(ChainSpec(3), pump.envelope(t_mid), stokes.envelope(t_mid), np.zeros(4096))
-    expected = site_basis_states(np.linalg.eigh(hs), 6.0 / 4096, np.array([1.0, 0.0, 0.0], dtype=complex))
+    exponents = cf4_exponents(ChainSpec(3), lambda t: (pump.envelope(t), stokes.envelope(t), np.zeros(len(t))),
+                              512, 6.0)
+    expected = site_basis_states(exponents, 6.0 / 512, np.array([1.0, 0.0, 0.0], dtype=complex))
     np.testing.assert_allclose(record.states, expected, rtol=0, atol=1e-13)
 
 
@@ -124,6 +138,24 @@ def test_evolve_norm_drift_stays_tiny():
     assert abs(np.linalg.norm(record.final_state) - 1.0) < 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_sites=st.integers(2, 8), parity=st.sampled_from([1, -1]), kind=st.sampled_from(KINDS),
+       j_max=st.floats(0.1, 40.0), delta0=st.floats(0.0, 80.0), offset=st.floats(-80.0, 80.0),
+       period=st.floats(0.05, 5.0), n_cycles=st.integers(1, 3), steps=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_norm_and_population_sum_are_conserved(n_sites, parity, kind, j_max, delta0, offset, period, n_cycles,
+                                               steps, seed):
+    chain = ChainSpec(n_sites, parity)
+    proto = PumpProtocol(kind, j_max, delta0, offset, period, n_cycles)
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=n_sites) + 1j * rng.normal(size=n_sites)
+    psi0 /= np.linalg.norm(psi0)
+    record = evolve(chain, proto, psi0, EvolutionConfig(dt=proto.duration / steps))
+    assert len(record.states) == steps + 1
+    assert np.abs(np.linalg.norm(record.states, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(cell_populations(record.states, chain).sum(axis=1) - 1.0).max() < 1e-12
+
+
 def test_evolve_requires_normalized_matching_state():
     with pytest.raises(ValueError):
         evolve(CHAIN, PROTO, np.ones(5, dtype=complex), EvolutionConfig(dt=0.01))
@@ -146,7 +178,8 @@ def test_dt_halving_moves_populations_below_tolerance():
     assert diff.max() < 1e-4
 
 
-def test_final_state_agrees_with_high_order_reference():
+def acceptance_7_instances():
+    """Acceptance 7's three seeded N = 5 pumps: (protocol, psi0, DOP853 final state)."""
     rng = np.random.default_rng(42)
     for _ in range(3):
         proto = PumpProtocol(
@@ -165,13 +198,27 @@ def test_final_state_agrees_with_high_order_reference():
 
         ref = solve_ivp(rhs, (0.0, proto.duration), psi0, method="DOP853",
                         rtol=1e-12, atol=1e-14).y[:, -1]
+        yield proto, psi0, ref
+
+
+def test_final_state_agrees_with_high_order_reference():
+    for proto, psi0, ref in acceptance_7_instances():
         mine = evolve(CHAIN, proto, psi0,
                       EvolutionConfig(dt=proto.period / 65536, store_states=False)).final_state
         assert np.linalg.norm(mine - ref) < 1e-8
 
 
+def test_error_falls_as_the_fourth_power_of_the_step():
+    """Each halving of the step, 128 -> 256 -> 512 per cycle, cuts the
+    distance to DOP853 by at least 10x (fourth order gives 16x)."""
+    for proto, psi0, ref in acceptance_7_instances():
+        errors = [np.linalg.norm(evolve(CHAIN, proto, psi0, EvolutionConfig(dt=proto.period / k, store_states=False))
+                                 .final_state - ref) for k in (128, 256, 512)]
+        assert errors[0] > 10 * errors[1] > 100 * errors[2], errors
+
+
 def test_phase_grid_matches_reference_when_steps_do_not_tile_a_cycle():
-    """Midpoints sampled by cycle phase, at an odd step count over two
+    """Gauss nodes sampled by cycle phase, at an odd step count over two
     cycles, meet acceptance 7's bound against DOP853."""
     psi0 = start_state()
 
@@ -291,6 +338,8 @@ def test_pulse_envelope_shape_and_validation():
         PulseSpec(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         PulseSpec(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="center must be finite, got nan"):
+        PulseSpec(1.0, np.nan, 1.0)
 
 
 def test_stirap_counterintuitive_order_transfers_through_dark_state():

@@ -108,6 +108,8 @@ def test_sample_rejects_times_outside_schedule():
         sample_trajectory(proto(cycles=2), 2.5)
     with pytest.raises(ValueError):
         sample_trajectory(proto(), -0.1)
+    with pytest.raises(ValueError):
+        sample_trajectory(proto(), np.array([0.1, np.nan]))
 
 
 def _winding_oracle(protocol, n=4096):

@@ -72,6 +72,8 @@ def test_ionization_model_validation():
         IonizationModel(good_t, good_f, 0.0, 0.5)
     with pytest.raises(ValueError):
         IonizationModel(np.array([0.0]), np.array([0.0]), 0.01, 0.5)
+    with pytest.raises(ValueError, match="t0 must be finite, got nan"):
+        IonizationModel(good_t, good_f, 0.01, np.nan)
 
 
 def test_tof_trace_validation():

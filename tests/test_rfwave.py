@@ -42,6 +42,9 @@ def test_tone_schedule_validation():
         ToneSchedule(sites=(1, 2), carrier=0.0)
     with pytest.raises(ValueError):
         ToneSchedule(sites=(1, 2), carrier=20.0, alpha=0.0)
+    for name in ("rabi", "detuning", "phase"):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got nan"):
+            ToneSchedule(sites=(1, 2), carrier=20.0, **{name: float("nan")})
 
 
 def test_calibration_point_validation():
