@@ -146,7 +146,10 @@ def _cmd_spectrum(args, cfg) -> int:
                 raise ValueError(f"probe_time must lie in [0, {protocol.duration!r}] us, got {probe_time!r}")
             point = sample_trajectory(protocol, probe_time)
             # laid out in MHz, then scaled: each point is 2*pi times an even MHz step
+            # (read() would scale the span first, which moves the grid's last bits)
             span = float(values.get("detuning_span_mhz", 3.0 * protocol.j_max / TWO_PI + 2.0))
+            if not 0 < span < np.inf:
+                raise ValueError(f"detuning_span_mhz must be positive and finite, got {span!r}")
             grid = TWO_PI * np.linspace(-span, span, read(values, "n_detunings", 1201, int))
             name, write = "spectrum_excitation.csv", spectrum.write_excitation_csv
             result = spectrum.excitation_spectrum(chain, point, probe, linewidth, grid)
@@ -224,7 +227,10 @@ def _readout_basis(values) -> readout.BasisSet:
         t0=read(values, "t0_us", base["t0"]),
     )
     lo, hi, n = read(values, "grid", base["grid"], tuple)
-    grid = np.linspace(float(lo), float(hi), int(n))
+    lo, hi = float(lo), float(hi)
+    if not np.isfinite(lo) or not np.isfinite(hi):
+        raise ValueError(f"grid ends must be finite, got {lo!r} and {hi!r}")
+    grid = np.linspace(lo, hi, int(n))
     return readout.make_basis(read(values, "labels", base["labels"], tuple),
                               read(values, "n_eff", base["n_eff"], _floats), model, grid)
 

@@ -4,7 +4,8 @@ A rising field ramp ionizes higher-lying states earlier, so each basis
 state produces an arrival-time distribution centered where the ramp
 crosses its classical ionization threshold. Composite traces are
 weighted sums of these basis traces; populations are recovered by
-non-negative least squares.
+non-negative least squares, solved with the Lawson–Hanson active-set
+method (Lawson & Hanson, *Solving Least Squares Problems*, 1974, ch. 23).
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class IonizationModel:
         object.__setattr__(self, "ramp_fields", fields)
         if times.ndim != 1 or times.shape != fields.shape or len(times) < 2:
             raise ValueError("ramp needs matching 1-D time and field samples")
+        for name, values in (("ramp_times", times), ("ramp_fields", fields)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values.tolist()!r}")
         if np.any(np.diff(times) <= 0) or np.any(np.diff(fields) <= 0):
             raise ValueError("ramp must be strictly increasing")
         if not 0 < self.sigma_t < np.inf:
@@ -78,6 +82,9 @@ class TofTrace:
         object.__setattr__(self, "current", current)
         if times.shape != current.shape or times.ndim != 1:
             raise ValueError("times and current must be matching 1-D arrays")
+        for name, values in (("times", times), ("current", current)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"trace {name} must be finite")
         if np.any(current < 0):
             raise ValueError("current must be non-negative")
         if self.area_normalized:
@@ -140,17 +147,48 @@ def synthesize_trace(
     return TofTrace(times=basis.times, current=current, area_normalized=False)
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Lawson–Hanson active-set solution of min ||a x - b|| subject to x >= 0.
+
+    Returns (x, ||a x - b||). Each outer iteration frees the column with the
+    largest gradient; the inner loop steps back along the segment to the
+    least-squares solution on the free (passive) columns until that solution
+    is positive. Raises RuntimeError after 3 n outer iterations.
+    """
+    m, n = a.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    # a gradient below rounding noise of a^T b counts as zero
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * np.abs(b).max(initial=0.0)
+    for _ in range(3 * n + 1):  # at most 3 n columns freed, each after a convergence test
+        gradient = a.T @ (b - a @ x)
+        if passive.all() or gradient[~passive].max() <= tol:
+            return x, float(np.linalg.norm(a @ x - b))
+        passive[np.argmax(np.where(passive, -np.inf, gradient))] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocked = np.flatnonzero(passive & (s < 0.0))
+            if blocked.size == 0:
+                break
+            steps = x[blocked] / (x[blocked] - s[blocked])
+            x = x + steps.min() * (s - x)
+            x[blocked[np.argmin(steps)]] = 0.0
+            passive &= x > 0.0
+        x = s
+    raise RuntimeError(f"NNLS did not converge in {3 * n} iterations")
+
+
 def decompose_trace(
     trace: TofTrace, basis: BasisSet, normalize: bool = False
 ) -> tuple:
     """Non-negative least squares unmixing of a composite trace.
 
-    Returns (weights, residual_norm). The NNLS solution satisfies the
-    KKT conditions of min ||A w - y||^2 with w >= 0. With normalize,
-    weights are rescaled to sum to 1 after the fit.
+    Returns (weights, residual_norm). The weights come from the
+    Lawson–Hanson active-set method and satisfy the KKT conditions of
+    min ||A w - y||^2 with w >= 0. With normalize, weights are rescaled
+    to sum to 1 after the fit.
     """
-    from scipy.optimize import nnls  # imported on use: scipy adds 1.5 s to start-up
-
     if trace.times.shape != basis.times.shape or not np.allclose(
         trace.times, basis.times, rtol=0.0, atol=1e-12
     ):
@@ -165,12 +203,12 @@ def decompose_trace(
             RuntimeWarning,
             stacklevel=2,
         )
-    weights, residual = nnls(a, trace.current)
+    weights, residual = _nnls(a, trace.current)
     if normalize:
         total = weights.sum()
         if total > 0:
             weights = weights / total
-    return weights, float(residual)
+    return weights, residual
 
 
 def write_trace_csv(trace: TofTrace, path: str) -> None:

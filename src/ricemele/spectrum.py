@@ -73,12 +73,22 @@ def excitation_spectrum(
 
 
 def find_spectral_peaks(x: np.ndarray, y: np.ndarray, min_height_frac: float = 0.1) -> np.ndarray:
-    """Positions of local maxima above a fraction of the global maximum."""
-    from scipy.signal import find_peaks  # imported on use: scipy adds 1.5 s to start-up
+    """Positions of local maxima above a fraction of the global maximum.
 
+    A maximum is a sample, or a flat run reported at its middle index, whose
+    neighbours on both sides are strictly lower; the first and last samples
+    never count. These are the indices scipy.signal.find_peaks(y, height=...)
+    returns.
+    """
     y = np.asarray(y, dtype=float)
-    idx, _ = find_peaks(y, height=min_height_frac * y.max())
-    return np.asarray(x)[idx]
+    height = min_height_frac * y.max()
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))  # runs of equal samples
+    ends = np.append(starts[1:], len(y)) - 1
+    level = y[starts]
+    inner = np.arange(1, len(starts) - 1)
+    runs = inner[(level[inner - 1] < level[inner]) & (level[inner + 1] < level[inner])]
+    idx = (starts[runs] + ends[runs]) // 2
+    return np.asarray(x)[idx[y[idx] >= height]]
 
 
 # scipy's golden-section constants, its rounded 2 / (1 + sqrt(5)) included

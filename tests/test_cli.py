@@ -39,6 +39,7 @@ SIM_CONFIG = {
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 DEMO_CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "demos" / "configs"
+NAN_TRACE = pathlib.Path(__file__).resolve().parent / "data" / "nan_trace.csv"
 
 
 def _installed(name):
@@ -334,13 +335,22 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad readout section: expected true or false, got 'false'"),
     ({"waveform": {**WAVEFORM, "csv_dump": "false"}}, ["waveform", "synth"],
      "bad waveform section: expected true or false, got 'false'"),
+    ({"readout": {"trace_path": str(NAN_TRACE)}}, ["readout", "decompose"],
+     "bad readout section: trace current must be finite"),
+    ({"readout": {"ramp_times_us": [0.0, float("nan")]}}, ["readout", "synth"],
+     "bad readout section: ramp_times must be finite, got [0.0, nan]"),
+    ({"readout": {"grid": [0.0, float("nan"), 100]}}, ["readout", "synth"],
+     "bad readout section: grid ends must be finite, got 0.0 and nan"),
+    ({"spectrum": {"detuning_span_mhz": float("nan")}}, ["spectrum", "excitation"],
+     "bad spectrum section: detuning_span_mhz must be positive and finite, got nan"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
         "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "spectrum-probe_time-nan",
         "waveform-carrier", "waveform-carrier-nan", "waveform-rabi-nan", "waveform-bits", "readout-sigma_t",
         "readout-sigma_t-nan", "readout-t0-nan", "readout-weights", "readout-noise", "stirap-width",
         "stirap-width-nan", "stirap-pump_center-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
-        "evolution-store_states", "readout-normalize", "waveform-csv_dump"])
+        "evolution-store_states", "readout-normalize", "waveform-csv_dump", "readout-trace-nan",
+        "readout-ramp_times-nan", "readout-grid-nan", "spectrum-detuning_span-nan"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3
@@ -411,7 +421,7 @@ def test_installed_entry_point_matches_declaration():
 # Run in a fresh interpreter: import the CLI, then run each command on its
 # demo config and print which of the listed modules each step newly loaded.
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 LISTED = ("scipy", "importlib.metadata", "concurrent.futures.process", "multiprocessing")
 def loaded():
     return {p for p in LISTED for m in list(sys.modules) if m == p or m.startswith(p + ".")}
@@ -420,15 +430,19 @@ steps = [sorted(loaded())]
 configs, out = sys.argv[1:]
 for name, argv in json.loads(sys.stdin.read()):
     before = loaded()
-    assert main(["--config", f"{configs}/{name}", "--out", out, *argv]) == 0, argv
+    assert main(["--config", os.path.join(configs, name), "--out", out, *argv]) == 0, argv
     steps.append(sorted(loaded() - before))
 print(json.dumps(steps))
 """
 
 
 def test_commands_without_scipy_never_import_it(tmp_path):
-    # scipy, the process pool and the installed-version lookup load inside
-    # the functions that use them; none of these commands reaches one.
+    # No command loads scipy; the process pool and the installed-version
+    # lookup load inside the functions that use them, which none of these
+    # commands reaches. decompose reads the trace that synth writes.
+    decompose = tmp_path / "readout_decompose.json"
+    readout_cfg = json.loads((DEMO_CONFIGS / "readout_synth.json").read_text())
+    decompose.write_text(json.dumps({"readout": {**readout_cfg["readout"], "trace_path": str(tmp_path / "trace.csv")}}))
     runs = [("simulate.json", ["simulate"], []),
             ("sweep_offset.json", ["--jobs", "1", "sweep", "offset"], []),
             ("spectrum_excitation.json", ["spectrum", "excitation"], []),
@@ -436,7 +450,9 @@ def test_commands_without_scipy_never_import_it(tmp_path):
             ("waveform_pump.json", ["waveform", "synth"], []),
             ("waveform_equal_coupling.json", ["waveform", "synth"], []),
             ("readout_synth.json", ["readout", "synth"], []),
-            ("stirap.json", ["stirap"], [])]
+            ("stirap.json", ["stirap"], []),
+            (str(decompose), ["readout", "decompose"], []),
+            ("simulate.json", ["validate"], [])]
     src = os.path.dirname(os.path.dirname(ricemele.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(DEMO_CONFIGS), str(tmp_path)],

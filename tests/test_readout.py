@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from ricemele import defaults
 from ricemele.readout import (
@@ -17,6 +20,7 @@ from ricemele.readout import (
     write_basis_csv,
     write_trace_csv,
 )
+from ricemele.readout import _nnls
 
 
 def default_model():
@@ -74,6 +78,10 @@ def test_ionization_model_validation():
         IonizationModel(np.array([0.0]), np.array([0.0]), 0.01, 0.5)
     with pytest.raises(ValueError, match="t0 must be finite, got nan"):
         IonizationModel(good_t, good_f, 0.01, np.nan)
+    with pytest.raises(ValueError, match=r"ramp_times must be finite, got \[0.0, nan\]"):
+        IonizationModel(np.array([0.0, np.nan]), good_f, 0.01, 0.5)
+    with pytest.raises(ValueError, match=r"ramp_fields must be finite, got \[0.0, inf\]"):
+        IonizationModel(good_t, np.array([0.0, np.inf]), 0.01, 0.5)
 
 
 def test_tof_trace_validation():
@@ -201,6 +209,52 @@ def test_decompose_warns_on_rank_deficient_basis():
     trace = synthesize_trace(np.full(7, 1 / 7), doubled)
     with pytest.warns(RuntimeWarning):
         decompose_trace(trace, doubled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(6, 200), n=st.integers(1, 8), deficiency=st.sampled_from(["none", "copy", "sum", "zero"]),
+       positive=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+def test_nnls_satisfies_kkt_and_matches_scipy(m, n, deficiency, positive, scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    if positive:  # basis traces are non-negative, like these
+        a = np.abs(a)
+    if n > 1 and deficiency == "copy":
+        a[:, -1] = a[:, 0]
+    elif n > 1 and deficiency == "sum":
+        a[:, -1] = a[:, :-1] @ rng.uniform(-1.0, 1.0, n - 1)
+    elif deficiency == "zero":
+        a[:, rng.integers(n)] = 0.0
+    a *= scale
+    b = scale * rng.standard_normal(m)
+    x, residual = _nnls(a, b)
+    gradient = a.T @ (b - a @ x)
+    bound = 1e-11 * np.abs(a).sum(axis=0).max() * np.abs(b).max()
+    free = x > 0
+    assert np.all(x >= 0)
+    assert np.all(np.abs(gradient[free]) <= bound)
+    assert np.all(gradient[~free] <= bound)
+    assert residual == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12)
+    if np.linalg.matrix_rank(a) == n and np.linalg.cond(a) < 1e6:
+        expected, expected_residual = nnls(a, b)
+        np.testing.assert_allclose(x, expected, rtol=0.0, atol=1e-10 * np.abs(expected).max())
+        assert residual == pytest.approx(expected_residual, rel=1e-10)
+
+
+def test_nnls_raises_rather_than_return_a_partial_answer(monkeypatch):
+    basis = default_basis()
+    trace = synthesize_trace(np.full(6, 1 / 6), basis)
+    # a least-squares step that never improves leaves the same column to free every time
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (-np.ones(a.shape[1]),))
+    with pytest.raises(RuntimeError, match="did not converge in 18 iterations"):
+        _nnls(basis.traces.T, trace.current)
+
+
+def test_trace_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="trace times must be finite"):
+        TofTrace(np.array([0.0, np.nan]), np.zeros(2))
+    with pytest.raises(ValueError, match="trace current must be finite"):
+        TofTrace(np.arange(2.0), np.array([0.0, np.inf]))
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -6,7 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.signal import find_peaks
 
 import ricemele
 
@@ -107,6 +110,18 @@ def test_find_spectral_peaks_height_filter():
     both = find_spectral_peaks(x, y, 0.1)
     assert len(tall) == 1 and abs(tall[0] - 3.0) < 0.01
     assert len(both) == 2 and abs(both[1] - 7.0) < 0.01
+
+
+# small integer levels make plateaus, including ones at either end
+_LEVELS = st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(_LEVELS, min_size=1, max_size=60), frac=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_find_spectral_peaks_matches_scipy_find_peaks(y, frac):
+    y = np.array(y)
+    expected, _ = find_peaks(y, height=frac * y.max())
+    assert np.array_equal(find_spectral_peaks(np.arange(len(y)), y, frac), expected)
 
 
 def test_max_band_width_matches_closed_form():
