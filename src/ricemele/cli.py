@@ -87,7 +87,7 @@ def _cmd_simulate(args, cfg) -> int:
     chain = cfgmod.resolve_chain(cfg)
     protocol = cfgmod.resolve_protocol(cfg)
     evo = cfgmod.resolve_evolution(cfg, args.dt)
-    with section(cfg, "simulate") as values:
+    with section(cfg, "simulate", ("start_cell", "branch")) as values:
         start_cell = read(values, "start_cell", defaults.START_CELL, int)
         branch = read(values, "branch", defaults.BRANCH, str)
         psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
@@ -133,7 +133,8 @@ def _cmd_sweep(args, cfg) -> int:
 def _cmd_spectrum(args, cfg) -> int:
     chain = cfgmod.resolve_chain(cfg)
     protocol = cfgmod.resolve_protocol(cfg)
-    with section(cfg, "spectrum") as values:
+    keys = ("n_times", "probe_site", "linewidth_mhz", "probe_time_us", "detuning_span_mhz", "n_detunings")
+    with section(cfg, "spectrum", keys) as values:
         if args.mode == "instantaneous":
             name, write = "spectrum_instantaneous.csv", spectrum.write_spectrum_csv
             result = spectrum.instantaneous_spectrum(
@@ -187,7 +188,7 @@ def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
 
 def _cmd_waveform(args, cfg) -> int:
     protocol = cfgmod.resolve_protocol(cfg)
-    with section(cfg, "waveform") as values:
+    with section(cfg, "waveform", ("tones", "duration_us", "sample_rate_per_us", "bits", "csv_dump")) as values:
         entries = values.get("tones")
         if not entries:
             raise ConfigError("waveform synth needs a non-empty waveform.tones list")
@@ -218,6 +219,11 @@ def _cmd_waveform(args, cfg) -> int:
     return EXIT_OK
 
 
+# The keys of both readout actions: validate reads the basis keys of either.
+_READOUT_KEYS = ("ramp_times_us", "ramp_fields_v_per_cm", "sigma_t_us", "t0_us", "grid", "labels", "n_eff",
+                 "seed", "weights", "noise", "trace_path", "normalize")
+
+
 def _readout_basis(values) -> readout.BasisSet:
     base = defaults.READOUT
     model = readout.IonizationModel(
@@ -236,7 +242,7 @@ def _readout_basis(values) -> readout.BasisSet:
 
 
 def _cmd_readout(args, cfg) -> int:
-    with section(cfg, "readout") as values:
+    with section(cfg, "readout", _READOUT_KEYS) as values:
         seed = args.seed if args.seed is not None else read(values, "seed", defaults.READOUT["seed"], int)
         basis = _readout_basis(values)
         if args.action == "synth":
@@ -264,7 +270,8 @@ def _cmd_readout(args, cfg) -> int:
 
 def _cmd_stirap(args, cfg) -> int:
     base = defaults.STIRAP
-    with section(cfg, "stirap") as values:
+    keys = ("peak_rabi_mhz", "duration_us", "width_us", "stokes_center_us", "pump_center_us")
+    with section(cfg, "stirap", keys) as values:
         peak = read(values, "peak_rabi_mhz", base["peak_rabi"])
         duration = read(values, "duration_us", base["duration"])
         if not 0 < duration < np.inf:
@@ -314,7 +321,7 @@ def _cmd_validate(args, cfg) -> int:
     track = spectrum.instantaneous_spectrum(chain, protocol, 32)
     checks.append(("spectrum sorted ascending", bool(np.all(np.diff(track.eigenvalues, axis=1) >= -1e-12))))
 
-    with section(cfg, "readout") as values:
+    with section(cfg, "readout", _READOUT_KEYS) as values:
         basis = _readout_basis(values)
     weights = np.zeros(len(basis.labels))
     weights[0] = 1.0

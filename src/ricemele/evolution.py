@@ -29,16 +29,20 @@ from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 512
-# Most steps one run may take. A larger run is refused before anything is
-# allocated: its states or its 2**21 exponent matrices, two per step, would
-# take gigabytes. No test, demo or benchmark run takes more than 262,145 steps.
+# Most steps one run may take. A run of K steps on N sites holds the
+# eigenvectors of its 2K exponents, 8 * 2K * N**2 bytes, plus one chunk of
+# _CHUNK_BYTES; a larger run is refused before anything is allocated, as at
+# 2**21 exponents those eigenvectors alone would take gigabytes. No test,
+# demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**20
 # CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
 # exponent weights a1, a2 (see the module docstring).
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
-# Bytes of step matrices _propagate builds at a time: a bound on its extra
-# memory, large enough that the stacked matmuls amortise their call cost.
+# Bytes of matrices built at a time: Hamiltonians and eigenvectors in
+# _cf4_decomposition, step matrices in _propagate. A bound on the memory a
+# run takes beyond its eigenvectors, large enough that the stacked eigh and
+# matmul calls amortise their call cost.
 _CHUNK_BYTES = 2**20
 
 
@@ -99,8 +103,7 @@ class PulseSpec:
 
 def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
     """Apply exp(-i h dt) to psi via eigendecomposition of the Hermitian h."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    EvolutionConfig(dt)  # rejects a dt that is not positive and finite
     return _propagate(np.linalg.eigh(np.asarray(h)[None]), dt, psi, store=False)[0]
 
 
@@ -113,8 +116,9 @@ def _propagate(decomposition, dt, psi0, store):
         c_0 = p_0 * (v_0^H psi0),  c_k = A_k c_(k-1),  psi_k = v_k c_k,
         A_k = p_k[:, None] * (v_k^H v_(k-1)),  p_k = exp(-i w_k dt),
 
-    so each exponential is one complex matrix-vector product. The A_k are
-    built with stacked matmuls, a chunk at a time within _CHUNK_BYTES.
+    so each exponential is one complex matrix-vector product. The A_k,
+    phases included, are built a chunk at a time within _CHUNK_BYTES, with
+    stacked matmuls.
     Returns the final state psi_(K-1) and, with store, psi0 followed by
     every second psi_k (psi_1, psi_3, ...): the states after whole CF4
     steps, K // 2 + 1 states.
@@ -122,14 +126,14 @@ def _propagate(decomposition, dt, psi0, store):
     w, v = decomposition
     n_steps, n = w.shape
     chunk = max(1, _CHUNK_BYTES // (16 * n * n))
-    phases = np.exp(-1j * w * dt)
-    c = phases[0] * (v[0].conj().T @ psi0)
+    c = np.exp(-1j * w[0] * dt) * (v[0].conj().T @ psi0)
     coeffs = np.empty((n_steps, n), dtype=complex) if store else None
     if store:
         coeffs[0] = c
     for start in range(1, n_steps, chunk):
         stop = min(start + chunk, n_steps)
-        steps = phases[start:stop, :, None] * (v[start:stop].conj().swapaxes(1, 2) @ v[start - 1:stop - 1])
+        phases = np.exp(-1j * w[start:stop, :, None] * dt)
+        steps = phases * (v[start:stop].conj().swapaxes(1, 2) @ v[start - 1:stop - 1])
         for k, a in enumerate(steps, start):
             c = a.dot(c)  # the bits of a @ c, with less overhead per call
             if store:
@@ -186,12 +190,21 @@ def _cf4_decomposition(spec, couplings, n_steps, span):
 
     couplings maps an array of times to (J1, J2, delta) arrays of its
     shape. H is linear in them, so each exponent is the Hamiltonian of the
-    weighted couplings at the step's two Gauss nodes.
+    weighted couplings at the step's two Gauss nodes. The Hamiltonians are
+    built and decomposed a chunk of _CHUNK_BYTES at a time into the output,
+    so no full stack of them exists; eigh decomposes each matrix on its
+    own, so the chunking does not change a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
-    weighted = (np.stack([_A1 * c[:, 0] + _A2 * c[:, 1], _A2 * c[:, 0] + _A1 * c[:, 1]], axis=1).ravel()
-                for c in couplings(nodes))
-    return np.linalg.eigh(build_hamiltonians(spec, *weighted))
+    weighted = [np.stack([_A1 * c[:, 0] + _A2 * c[:, 1], _A2 * c[:, 0] + _A1 * c[:, 1]], axis=1).ravel()
+                for c in couplings(nodes)]
+    n = spec.n_sites
+    w, v = np.empty((2 * n_steps, n)), np.empty((2 * n_steps, n, n))
+    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
+    for start in range(0, 2 * n_steps, chunk):
+        part = slice(start, start + chunk)
+        w[part], v[part] = np.linalg.eigh(build_hamiltonians(spec, *(x[part] for x in weighted)))
+    return w, v
 
 
 def _decomposition(key):
@@ -236,7 +249,7 @@ def evolve(
 def _record(spec, decomposition, duration, psi0, store, protocol=None):
     """Step psi0 through [0, duration], one equal CF4 step per pair of
     decomposed exponents; stores the states after whole steps."""
-    n_steps = len(decomposition.eigenvalues) // 2
+    n_steps = len(decomposition[0]) // 2
     dt = duration / n_steps
     psi, states = _propagate(decomposition, dt, psi0, store)
     if store:

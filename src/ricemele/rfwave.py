@@ -21,6 +21,9 @@ from .spectrum import find_spectral_peaks, lorentzian
 
 MAGIC = b"RMWF"
 FORMAT_VERSION = 1
+# Samples rendered at a time: a render holds its composite plus a few
+# arrays of this length.
+_BLOCK = 2**14
 
 
 def _eval_envelope(envelope: Any, t: np.ndarray) -> np.ndarray:
@@ -94,21 +97,35 @@ def required_programmed_amplitude(omega: float, alpha: float) -> float:
     return float(np.sqrt(omega / alpha))
 
 
-def _tone_samples(tone: ToneSchedule, t: np.ndarray):
-    """Rendered tone voltage plus its instantaneous programmed frequency."""
-    rabi = _eval_envelope(tone.rabi, t)
-    if np.any(rabi < 0):
-        raise ValueError("rabi envelope must be non-negative")
-    detuning = _eval_envelope(tone.detuning, t)
-    # half the field frequency: the doubler doubles frequency and squares
-    # amplitude; detuning shifts the field by Delta/(2 pi) MHz, the
-    # programmed tone by half of that
-    freq = tone.carrier / 2.0 + detuning / (2.0 * TWO_PI)
-    amplitude = np.sqrt(rabi / tone.alpha)
-    # cumulative trapezoid rule, the expression scipy's cumulative_trapezoid evaluates
-    cycles = np.concatenate(([0.0], np.cumsum(np.diff(t) * (freq[1:] + freq[:-1]) / 2.0)))
-    phase = tone.phase + TWO_PI * cycles
-    return amplitude * np.cos(phase), freq
+def _add_tone(tone: ToneSchedule, rate: float, composite: np.ndarray) -> float:
+    """Add the rendered tone voltage at the times i / rate to composite, a
+    block of _BLOCK samples at a time; return the largest |instantaneous
+    programmed frequency|."""
+    max_freq, cycles = 0.0, 0.0
+    for start in range(0, len(composite), _BLOCK):
+        stop = min(start + _BLOCK, len(composite))
+        # led by the previous block's last sample, for the trapezoid step across the seam
+        first = max(start - 1, 0)
+        t = np.arange(first, stop) / rate
+        rabi = _eval_envelope(tone.rabi, t)
+        if np.any(rabi < 0):
+            raise ValueError("rabi envelope must be non-negative")
+        detuning = _eval_envelope(tone.detuning, t)
+        # half the field frequency: the doubler doubles frequency and squares
+        # amplitude; detuning shifts the field by Delta/(2 pi) MHz, the
+        # programmed tone by half of that
+        freq = tone.carrier / 2.0 + detuning / (2.0 * TWO_PI)
+        max_freq = max(max_freq, float(np.max(np.abs(freq))))
+        amplitude = np.sqrt(rabi[start - first:] / tone.alpha)
+        # cumulative trapezoid rule, the expression scipy's cumulative_trapezoid
+        # evaluates; the cumsum runs on from the cycles at t[0], so it adds in the
+        # order of one cumsum over all samples
+        steps = np.diff(t) * (freq[1:] + freq[:-1]) / 2.0
+        running = np.cumsum(np.concatenate(([cycles], steps)))
+        cycles = running[-1]
+        phase = tone.phase + TWO_PI * running[start - first:]
+        composite[start:stop] += amplitude * np.cos(phase)
+    return max_freq
 
 
 def synthesize_waveform(tones, duration: float, rate: float, bits: int = 10) -> WaveformBuffer:
@@ -125,13 +142,8 @@ def synthesize_waveform(tones, duration: float, rate: float, bits: int = 10) -> 
     n_samples = int(round(duration * rate))
     if n_samples < 2:
         raise ValueError("duration too short for the sample rate")
-    t = np.arange(n_samples) / rate
     composite = np.zeros(n_samples)
-    max_freq = 0.0
-    for tone in tones:
-        samples, freq = _tone_samples(tone, t)
-        composite += samples
-        max_freq = max(max_freq, float(np.max(np.abs(freq))))
+    max_freq = max(_add_tone(tone, rate, composite) for tone in tones)
     if rate <= 4.0 * max_freq:
         raise ValueError(
             f"aliasing: sample rate {rate} samples/us must exceed 4x the "
@@ -142,7 +154,8 @@ def synthesize_waveform(tones, duration: float, rate: float, bits: int = 10) -> 
         raise ValueError("composite waveform is identically zero")
     full_scale = 2 ** (bits - 1) - 1
     normalization = full_scale / peak
-    codes = np.rint(composite * normalization).astype(np.int16)
+    composite *= normalization
+    codes = np.rint(composite, out=composite).astype(np.int16)
     return WaveformBuffer(sample_rate=float(rate), bits=bits, samples=codes,
                           normalization=normalization)
 

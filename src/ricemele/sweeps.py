@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 import itertools
+import os
 
 import numpy as np
 
@@ -137,7 +138,8 @@ def _run_group(tasks):
 
 
 def _run_groups(groups, jobs):
-    """Evaluate each group of tasks, filling results by group index."""
+    """Evaluate each group of tasks, filling results by group index. With
+    jobs > 1, a pool of at most jobs workers, one per group and per core."""
     if jobs <= 1:
         return [_run_group(group) for group in groups]
     import multiprocessing
@@ -145,7 +147,9 @@ def _run_groups(groups, jobs):
 
     out = [None] * len(groups)
     ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+    # the pool spawns a worker per submit while none is idle, up to max_workers
+    workers = min(jobs, len(groups), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
         futures = {pool.submit(_run_group, group): i for i, group in enumerate(groups)}
         for future in as_completed(futures):
             out[futures[future]] = future.result()

@@ -343,6 +343,13 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      "bad readout section: grid ends must be finite, got 0.0 and nan"),
     ({"spectrum": {"detuning_span_mhz": float("nan")}}, ["spectrum", "excitation"],
      "bad spectrum section: detuning_span_mhz must be positive and finite, got nan"),
+    ({**SIM_CONFIG, "simulate": {"start_cel": 2}}, ["simulate"],
+     "bad simulate section: unknown keys ['start_cel']; the section takes start_cell, branch"),
+    ({"spectrum": {"probe_sitee": 3}}, ["spectrum", "excitation"], "bad spectrum section: unknown keys ['probe_sitee']"),
+    ({"waveform": {**WAVEFORM, "rate": 1}}, ["waveform", "synth"], "bad waveform section: unknown keys ['rate']"),
+    ({"readout": {"sigma_tt_us": 0.5}}, ["readout", "synth"], "bad readout section: unknown keys ['sigma_tt_us']"),
+    ({"readout": {"sigma_tt_us": 0.5}}, ["validate"], "bad readout section: unknown keys ['sigma_tt_us']"),
+    ({"stirap": {"width": 1.0}}, ["stirap"], "bad stirap section: unknown keys ['width']"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
         "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "spectrum-probe_time-nan",
@@ -350,7 +357,8 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
         "readout-sigma_t-nan", "readout-t0-nan", "readout-weights", "readout-noise", "stirap-width",
         "stirap-width-nan", "stirap-pump_center-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
         "evolution-store_states", "readout-normalize", "waveform-csv_dump", "readout-trace-nan",
-        "readout-ramp_times-nan", "readout-grid-nan", "spectrum-detuning_span-nan"])
+        "readout-ramp_times-nan", "readout-grid-nan", "spectrum-detuning_span-nan", "simulate-unknown",
+        "spectrum-unknown", "waveform-unknown", "readout-unknown", "validate-readout-unknown", "stirap-unknown"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3

@@ -1,5 +1,7 @@
 """Propagator accuracy, state preparation, observables, and STIRAP."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,8 +52,9 @@ def test_propagate_step_is_unitary_and_rejects_bad_dt():
     psi /= np.linalg.norm(psi)
     out = propagate_step(h, 0.37, psi)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        propagate_step(h, 0.0, psi)
+    for dt in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            propagate_step(h, dt, psi)
 
 
 def test_propagate_step_matches_expm_for_complex_hermitian_h():
@@ -120,9 +123,44 @@ def test_stirap_eigenbasis_stepping_matches_site_basis_loop():
 def test_chunk_size_does_not_change_any_state(monkeypatch, chunk_bytes):
     cfgs = [EvolutionConfig(dt=PROTO.period / 1000, store_states=store) for store in (True, False)]
     before = [evolve(CHAIN, PROTO, start_state(), cfg).states for cfg in cfgs]
-    monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)  # 1 or 7 steps per chunk
+    # 1 or 7 step matrices and 1 or 14 exponents per chunk
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
     for cfg, states in zip(cfgs, before):
         assert np.array_equal(evolve(CHAIN, PROTO, start_state(), cfg).states, states)
+
+
+def whole_stack_decomposition(chain, couplings, n_steps, span):
+    """eigh of every CF4 exponent built at once, one build_hamiltonians call
+    on the weighted couplings at the Gauss nodes."""
+    root = np.sqrt(3.0) / 6.0
+    a1, a2 = 0.25 + root, 0.25 - root
+    nodes = (np.arange(n_steps)[:, None] + 0.5 + np.array([-root, root])) * (span / n_steps)
+    weighted = (np.stack([a1 * c[:, 0] + a2 * c[:, 1], a2 * c[:, 0] + a1 * c[:, 1]], axis=1).ravel()
+                for c in couplings(nodes))
+    return np.linalg.eigh(build_hamiltonians(chain, *weighted))
+
+
+@pytest.mark.parametrize("n_sites", [5, 30])
+def test_chunked_decomposition_equals_whole_stack_eigh(monkeypatch, n_sites):
+    chain, couplings = ChainSpec(n_sites), lambda t: sample_trajectory(PROTO, t)
+    expected = whole_stack_decomposition(chain, couplings, 100, PROTO.duration)
+    # 3 exponents per chunk: chunks split steps' M1, M2 pairs, and 200 = 66 * 3 + 2 ends short
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 8 * n_sites**2)
+    w, v = evolution._cf4_decomposition(chain, couplings, 100, PROTO.duration)
+    assert np.array_equal(w, expected.eigenvalues) and np.array_equal(v, expected.eigenvectors)
+
+
+def test_decomposition_holds_its_output_and_a_few_chunks():
+    chain = ChainSpec(30)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        w, v = evolution._cf4_decomposition(chain, lambda t: sample_trajectory(PROTO, t), 512, PROTO.duration)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the output is 7.6 MB; a whole stack of Hamiltonians would add as much again
+    assert peak <= w.nbytes + v.nbytes + 3 * evolution._CHUNK_BYTES
 
 
 def test_step_reversal_recovers_state():

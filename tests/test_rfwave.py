@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ricemele import defaults
+from ricemele import defaults, rfwave
 from ricemele.model import TWO_PI
 from ricemele.rfwave import (
     CalibrationPoint,
@@ -185,6 +185,16 @@ def test_time_dependent_envelope_renders():
     center = envelope[80:120].max()
     edge = envelope[:20].max()
     assert center > 4 * edge
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_block_size_does_not_change_any_sample(monkeypatch, block):
+    chirped = [tone(rabi=lambda t: TWO_PI * (1.0 + t), detuning=lambda t: TWO_PI * 9.0 * np.sin(5.0 * t)),
+               tone(carrier=30.0, detuning=TWO_PI * 2.0, phase=0.3, sites=(2, 3))]
+    whole = synthesize_waveform(chirped, 1.0, rate=200.0, bits=14)  # one block of 200 samples
+    monkeypatch.setattr(rfwave, "_BLOCK", block)
+    blocked = synthesize_waveform(chirped, 1.0, rate=200.0, bits=14)
+    assert np.array_equal(blocked.samples, whole.samples) and blocked.normalization == whole.normalization
 
 
 def test_spectral_purity_table_two_tone_oracle():

@@ -1,12 +1,15 @@
 """Sweep drivers: grids, parallel dispatch, serialization, ripple analysis."""
 
+import concurrent.futures
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ricemele
+from ricemele import sweeps
 from ricemele.config import config_hash
 from ricemele.evolution import EvolutionConfig, evolve, initial_dimer_state, mean_position_and_spread
 from ricemele.model import TWO_PI, ChainSpec
@@ -107,6 +110,38 @@ def test_parallel_matches_serial_exactly(make_spec):
     parallel = run_sweep(make_spec(jobs=2))
     assert np.array_equal(serial.values, parallel.values)
     assert serial.metadata == parallel.metadata
+
+
+class InlineExecutor:
+    """Stand-in for ProcessPoolExecutor that records its worker count and
+    runs each task when it is submitted; it starts no process."""
+
+    workers = []
+
+    def __init__(self, max_workers, mp_context):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs, cores, workers", [
+    (1, 64, None), (500, 64, 5), (500, 2, 2), (3, 64, 3), (2, None, 1)])
+def test_pool_starts_no_more_workers_than_groups_or_cores(monkeypatch, jobs, cores, workers):
+    monkeypatch.setattr(InlineExecutor, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    groups = [[(pow, (g, k)) for k in range(g + 1)] for g in range(5)]
+    assert sweeps._run_groups(groups, jobs) == [[g**k for k in range(g + 1)] for g in range(5)]
+    assert InlineExecutor.workers == ([] if workers is None else [workers])
 
 
 # kind -> (spec chain, axes, center_sizes, the (chain, protocol, start cell) of each

@@ -6,8 +6,10 @@ Each tree runs every demos/configs/*.json command (configs read from
 NEW_TREE), `spectrum instantaneous` on the spectrum config, `readout
 decompose` of the trace its own `readout synth` run wrote, `simulate` and
 `validate` with no config, `sweep offset` with no config at --jobs 1 and
-2 with --dt 0.005, and `sweep size` and `sweep mean_position` with no
-config at --dt 0.01, writing under the same --out path so printed paths
+2 with --dt 0.005, `sweep size` and `sweep mean_position` with no
+config at --dt 0.01, and `sweep period_delta`, `protocol_compare` and
+`topt_collapse` on the small grids of SMALL_SWEEPS at --dt 0.01, so every
+sweep kind runs; all write under the same --out path so printed paths
 agree.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
 differing JSON file names its differing keys, and a differing CSV or JSON
@@ -24,6 +26,12 @@ import sys
 import tempfile
 
 SECTIONS = ("simulate", "sweep", "spectrum", "waveform", "readout", "stirap")
+# sweep sections, in file units, of the kinds that no demo config or default run covers
+SMALL_SWEEPS = {
+    "period_delta": {"period_us": [0.5, 1.0, 1.5], "delta0_mhz": [4.0, 7.0]},
+    "protocol_compare": {"period_us": [0.5, 1.0, 2.0]},
+    "topt_collapse": {"j_max_mhz": [1.5], "delta0_mhz": [5.0, 7.0]},
+}
 
 
 def cases(configs, work, out):
@@ -50,6 +58,11 @@ def cases(configs, work, out):
         yield f"sweep_offset_jobs{jobs}", ["--jobs", jobs, "--dt", "0.005", "sweep", "offset"]
     for kind in ("size", "mean_position"):
         yield f"sweep_{kind}", ["--dt", "0.01", "sweep", kind]
+    for kind, values in SMALL_SWEEPS.items():
+        path = os.path.join(work, f"sweep_{kind}_small.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"sweep": {"kind": kind, **values}}, fh)
+        yield f"sweep_{kind}_small", ["--config", path, "--dt", "0.01", "sweep", kind]
 
 
 def run(tree, configs, out):
