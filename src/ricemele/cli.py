@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import defaults, evolution, readout, rfwave, spectrum, sweeps
-from .config import ConfigError, flag, read, section, write_json
+from .config import ConfigError, flag, read, refuse_unknown_keys, section, write_json
 from .model import TWO_PI
 from .protocols import classify_regime, sample_trajectory, winding_number
 
@@ -160,7 +160,14 @@ def _cmd_spectrum(args, cfg) -> int:
     return EXIT_OK
 
 
+_TONE_KEYS = ("sites", "carrier_mhz", "alpha_mhz_per_v2", "phase_rad", "bond", "detuning_sign", "rabi_mhz",
+              "detuning_mhz")
+
+
 def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
+    if not isinstance(entry, dict):
+        raise TypeError(f"a tone must be a JSON object, got {entry!r}")
+    refuse_unknown_keys(entry, _TONE_KEYS, "a tone")
     sites = read(entry, "sites", (1, 2), lambda v: tuple(map(int, v)))
     # the carrier is a field frequency, kept in MHz: the one _mhz key not scaled
     # by 2*pi; an absent carrier reads 0, which ToneSchedule rejects

@@ -84,14 +84,21 @@ def section(cfg: dict, name: str, keys: tuple[str, ...] | None = None):
         values = cfg.get(name, {})
         if not isinstance(values, dict):
             raise TypeError(f"expected a JSON object, got {values!r}")
-        unknown = sorted(set(values) - set(keys)) if keys else []
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}; the section takes {', '.join(keys)}")
+        if keys:
+            refuse_unknown_keys(values, keys, "the section")
         yield values
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from exc
+
+
+def refuse_unknown_keys(values: dict, keys, owner: str) -> None:
+    """Raise ValueError naming every key of values outside keys, and the
+    keys that owner takes, so a typo is never ignored."""
+    unknown = sorted(set(values) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; {owner} takes {', '.join(keys)}")
 
 
 def read(values: dict, key: str, default: Any, cast=float) -> Any:

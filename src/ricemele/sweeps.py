@@ -2,10 +2,12 @@
 
 Each sweep kind is one entry of a table: its defaults, its axes, its
 output columns and the function that evaluates one grid point. One
-engine walks the grid, evaluates the points (optionally in parallel),
-reduces into an index-addressed matrix, and serializes to a
-self-describing CSV plus a JSON mirror. Identical sweep specs produce
-bit-identical outputs regardless of worker count.
+engine walks the grid, groups the points that share a Hamiltonian
+schedule, evaluates the groups (serially, or with jobs > 1 in a process
+pool that takes one group at a time), reduces into an index-addressed
+matrix, and serializes to a self-describing CSV plus a JSON mirror.
+Identical sweep specs produce bit-identical outputs regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 import itertools
 import os
+import sys
 
 import numpy as np
 
 from . import __version__, defaults, evolution, protocols
-from .config import chain_to_dict, config_hash, protocol_to_dict, pyify, read, write_json, write_lines
+from .config import (chain_to_dict, config_hash, protocol_to_dict, pyify, read, refuse_unknown_keys, write_json,
+                     write_lines)
 from .model import TWO_PI, ChainSpec
 from .protocols import PumpProtocol, sample_trajectory
 from .spectrum import (find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average,
@@ -137,23 +141,35 @@ def _run_group(tasks):
         return [fn(*args) for fn, args in tasks]
 
 
+def _pool_context():
+    """The start method of the sweep pool.
+
+    Fork on Linux when no other Python thread runs, so each worker inherits
+    the imported package instead of importing it again; spawn otherwise.
+    Forking is safe only if the BLAS also stops its threads at fork, as
+    OpenBLAS built with pthreads (numpy's wheels) does; a BLAS on GNU
+    OpenMP does not, and a sweep under it should run with jobs = 1.
+    """
+    import multiprocessing
+    import threading
+
+    fork = sys.platform == "linux" and threading.active_count() == 1
+    return multiprocessing.get_context("fork" if fork else "spawn")
+
+
 def _run_groups(groups, jobs):
-    """Evaluate each group of tasks, filling results by group index. With
-    jobs > 1, a pool of at most jobs workers, one per group and per core."""
+    """Evaluate each group of tasks, returning the results in group order.
+
+    With jobs > 1, a pool of at most jobs workers, and no more than there
+    are groups or cores, takes one group at a time (see _pool_context).
+    """
     if jobs <= 1:
         return [_run_group(group) for group in groups]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures import ProcessPoolExecutor
 
-    out = [None] * len(groups)
-    ctx = multiprocessing.get_context("spawn")
-    # the pool spawns a worker per submit while none is idle, up to max_workers
     workers = min(jobs, len(groups), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-        futures = {pool.submit(_run_group, group): i for i, group in enumerate(groups)}
-        for future in as_completed(futures):
-            out[futures[future]] = future.result()
-    return out
+    with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
+        return list(pool.map(_run_group, groups))
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -220,13 +236,20 @@ def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
     Section keys use file units: *_mhz lists/scalars for frequencies,
     *_us for times. The protocol takes the first value of each axis, and
     a kind without a default period (topt_collapse, mean_position) keeps
-    period 1.0. Invalid values raise TypeError or ValueError; read inside
-    config.section they become ConfigError.
+    period 1.0. The section takes the keys of the kind's defaults and
+    axes, plus branch and, except for mean_position, which starts in the
+    center cell, start_cell; any other key, like an invalid value, raises
+    TypeError or ValueError, which config.section turns into ConfigError.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
     base, axis_names, _, _ = _KINDS[kind]
     section = dict(section or {})
+    # a field is read under its _SECTION_KEYS key, except n_sites off the axes, read as "n_sites"
+    keys = sorted({_SECTION_KEYS[name][0] if name in _SECTION_KEYS and (name in axis_names or name != "n_sites")
+                   else name for name in (*base, *axis_names)} | {"branch"}
+                  | ({"start_cell"} if kind != "mean_position" else set()))
+    refuse_unknown_keys(section, keys, f"a {kind} sweep")
 
     def grid(name):
         key, dtype = _SECTION_KEYS[name]

@@ -350,6 +350,13 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
     ({"readout": {"sigma_tt_us": 0.5}}, ["readout", "synth"], "bad readout section: unknown keys ['sigma_tt_us']"),
     ({"readout": {"sigma_tt_us": 0.5}}, ["validate"], "bad readout section: unknown keys ['sigma_tt_us']"),
     ({"stirap": {"width": 1.0}}, ["stirap"], "bad stirap section: unknown keys ['width']"),
+    ({"sweep": {"kind": "offset", "delta0_mzh": [4.0], "delta_offset_mhz": [0.0]}}, ["sweep", "offset"],
+     "bad sweep section: unknown keys ['delta0_mzh']; a offset sweep takes branch, delta0_mhz"),
+    ({"sweep": {"kind": "size", "n_sites": 7}}, ["sweep", "size"], "bad sweep section: unknown keys ['n_sites']"),
+    ({"waveform": {**WAVEFORM, "tones": [{"sites": [1, 2], "carrier_mhz": 20.0, "rabi_mzh": 4.0}]}},
+     ["waveform", "synth"], "bad waveform section: unknown keys ['rabi_mzh']; a tone takes sites, carrier_mhz"),
+    ({"waveform": {**WAVEFORM, "tones": [[1, 2]]}}, ["waveform", "synth"],
+     "bad waveform section: a tone must be a JSON object, got [1, 2]"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
         "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "spectrum-probe_time-nan",
@@ -358,7 +365,8 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
         "stirap-width-nan", "stirap-pump_center-nan", "stirap-peak_rabi", "stirap-duration-zero", "stirap-duration-negative", "evolution-adaptive",
         "evolution-store_states", "readout-normalize", "waveform-csv_dump", "readout-trace-nan",
         "readout-ramp_times-nan", "readout-grid-nan", "spectrum-detuning_span-nan", "simulate-unknown",
-        "spectrum-unknown", "waveform-unknown", "readout-unknown", "validate-readout-unknown", "stirap-unknown"])
+        "spectrum-unknown", "waveform-unknown", "readout-unknown", "validate-readout-unknown", "stirap-unknown",
+        "sweep-unknown", "sweep-size-n_sites", "waveform-tone-unknown", "waveform-tone-not-object"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3

@@ -3,6 +3,9 @@
 import concurrent.futures
 import json
 import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -103,23 +106,43 @@ def mean_position_spec(jobs=1):
     return SweepSpec("mean_position", ChainSpec(6), protocol, {"period": np.array([0.4, 0.6, 0.9])}, jobs=jobs)
 
 
-@pytest.mark.parametrize("make_spec", [offset_spec, compare_spec, mean_position_spec],
-                         ids=["offset", "protocol_compare", "mean_position"])
-def test_parallel_matches_serial_exactly(make_spec):
-    serial = run_sweep(make_spec(jobs=1))
-    parallel = run_sweep(make_spec(jobs=2))
+def period_delta_spec(jobs=1):
+    return SweepSpec("period_delta", CHAIN, PROTO, {"period": np.array([0.4, 0.6]),
+                                                    "delta0": np.array([TWO_PI * 5.0, TWO_PI * 6.0])},
+                     dt=0.01, jobs=jobs)
+
+
+def topt_collapse_spec(jobs=1):
+    return SweepSpec("topt_collapse", CHAIN, PROTO, {"j_max": np.array([TWO_PI * 1.5]),
+                                                     "delta0": np.array([TWO_PI * 5.0, TWO_PI * 7.0])},
+                     scan_grid=SCAN, jobs=jobs)
+
+
+def size_spec(jobs=1):
+    return SweepSpec("size", CHAIN, PROTO, {"n_sites": np.array([5, 7]), "period": np.array([0.4, 0.6])},
+                     center_sizes=(7,), dt=0.01, jobs=jobs)
+
+
+SPECS = {"offset": offset_spec, "period_delta": period_delta_spec, "protocol_compare": compare_spec,
+         "topt_collapse": topt_collapse_spec, "mean_position": mean_position_spec, "size": size_spec}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_parallel_matches_serial_exactly(kind):
+    serial = run_sweep(SPECS[kind](jobs=1))
+    parallel = run_sweep(SPECS[kind](jobs=2))
     assert np.array_equal(serial.values, parallel.values)
     assert serial.metadata == parallel.metadata
 
 
 class InlineExecutor:
     """Stand-in for ProcessPoolExecutor that records its worker count and
-    runs each task when it is submitted; it starts no process."""
+    start method, and runs each task in order; it starts no process."""
 
     workers = []
 
     def __init__(self, max_workers, mp_context):
-        self.workers.append(max_workers)
+        self.workers.append((max_workers, mp_context.get_start_method()))
 
     def __enter__(self):
         return self
@@ -127,10 +150,8 @@ class InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+    def map(self, fn, iterable):
+        return map(fn, iterable)
 
 
 @pytest.mark.parametrize("jobs, cores, workers", [
@@ -141,7 +162,51 @@ def test_pool_starts_no_more_workers_than_groups_or_cores(monkeypatch, jobs, cor
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     groups = [[(pow, (g, k)) for k in range(g + 1)] for g in range(5)]
     assert sweeps._run_groups(groups, jobs) == [[g**k for k in range(g + 1)] for g in range(5)]
-    assert InlineExecutor.workers == ([] if workers is None else [workers])
+    assert [n for n, _ in InlineExecutor.workers] == ([] if workers is None else [workers])
+
+
+def test_pool_forks_only_where_no_other_thread_runs(monkeypatch):
+    monkeypatch.setattr(InlineExecutor, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    groups = [[(abs, (-1,))], [(abs, (-2,))]]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        sweeps._run_groups(groups, 2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    alone = "fork" if sys.platform == "linux" else "spawn"
+    sweeps._run_groups(groups, 2)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    sweeps._run_groups(groups, 2)
+    assert [method for _, method in InlineExecutor.workers] == ["spawn", alone, "spawn"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pool forks only on Linux")
+def test_pool_forks_a_process_of_one_thread():
+    # The workers are forked after the BLAS has run threaded products; the
+    # fork is safe only if the process has one thread when it forks, which
+    # holds when the BLAS stops its threads at fork (OpenBLAS on pthreads).
+    script = """
+import os
+import numpy as np
+from ricemele import sweeps
+a = np.ones((600, 600))
+a @ a
+counts = []
+os.register_at_fork(after_in_parent=lambda: counts.append(len(os.listdir("/proc/self/task"))))
+assert sweeps._run_groups([[(abs, (-1,))], [(abs, (-2,))]], 2) == [[1], [2]]
+print(counts)
+"""
+    src = os.path.dirname(os.path.dirname(ricemele.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, 1]
 
 
 # kind -> (spec chain, axes, center_sizes, the (chain, protocol, start cell) of each
@@ -298,6 +363,8 @@ def test_build_sweep_spec_mean_position_grid():
     spec = build_sweep_spec("mean_position", {"n_cells": 4, "span_factor": 2.0, "n_periods": 5})
     assert spec.chain.n_sites == 8
     assert spec.to_dict()["start_cell"] == 2  # every point starts in the center cell
+    with pytest.raises(ValueError, match=r"unknown keys \['start_cell'\]"):
+        build_sweep_spec("mean_position", {"n_cells": 4, "start_cell": 1})
     grid = spec.axes["period"]
     assert len(grid) == 5
     assert grid[-1] / grid[0] == pytest.approx(4.0)
@@ -312,6 +379,23 @@ def test_build_sweep_spec_defaults_exist_for_every_kind():
         assert spec.kind == kind
     with pytest.raises(ValueError):
         build_sweep_spec("bogus")
+
+
+# one valid non-default value of every key some sweep section takes
+SECTION_VALUES = {"branch": "upper", "center_sizes": [5], "delta0_mhz": 3.0, "delta_offset_mhz": 1.0,
+                  "j_max_mhz": 1.0, "n_cells": 5, "n_cycles": 3, "n_periods": 3, "n_sites": 7, "period_us": 2.0,
+                  "scan_grid_us": [0.5, 1.0], "sizes": 7, "span_factor": 1.5, "start_cell": 2}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_build_sweep_spec_takes_exactly_the_keys_it_reads(kind):
+    with pytest.raises(ValueError, match=r"unknown keys \['kind', 'start_cel'\]; a " + kind + " sweep takes") as info:
+        build_sweep_spec(kind, {"start_cel": 2, "kind": kind})
+    keys = str(info.value).split(" takes ")[1].split(", ")
+    default = build_sweep_spec(kind).to_dict()
+    for key in keys:
+        # every key the section takes moves the resolved spec
+        assert build_sweep_spec(kind, {key: SECTION_VALUES[key]}).to_dict() != default, key
 
 
 def test_write_sweep_csv_layout_and_round_trip(tmp_path):

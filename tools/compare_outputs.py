@@ -5,16 +5,17 @@
 Each tree runs every demos/configs/*.json command (configs read from
 NEW_TREE), `spectrum instantaneous` on the spectrum config, `readout
 decompose` of the trace its own `readout synth` run wrote, `simulate` and
-`validate` with no config, `sweep offset` with no config at --jobs 1 and
-2 with --dt 0.005, `sweep size` and `sweep mean_position` with no
-config at --dt 0.01, and `sweep period_delta`, `protocol_compare` and
-`topt_collapse` on the small grids of SMALL_SWEEPS at --dt 0.01, so every
-sweep kind runs; all write under the same --out path so printed paths
-agree.
+`validate` with no config, `sweep offset` with no config at --dt 0.005,
+`sweep size` and `sweep mean_position` with no config at --dt 0.01, and
+`sweep period_delta`, `protocol_compare` and `topt_collapse` on the small
+grids of SMALL_SWEEPS at --dt 0.01, so every sweep kind runs, each sweep
+at --jobs 1 and at --jobs 2; all write under the same --out path so
+printed paths agree.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
 differing JSON file names its differing keys, and a differing CSV or JSON
 file gives the largest absolute difference between numbers at the same
-place in both. Exits 1 on any difference.
+place in both. Within NEW_TREE, each sweep's files at --jobs 2 must equal
+its files at --jobs 1. Exits 1 on any difference.
 """
 
 import json
@@ -54,15 +55,16 @@ def cases(configs, work, out):
             yield "readout_decompose", ["--config", decompose, "readout", "decompose"]
     yield "simulate_no_config", ["simulate"]
     yield "validate_no_config", ["validate"]
-    for jobs in ("1", "2"):
-        yield f"sweep_offset_jobs{jobs}", ["--jobs", jobs, "--dt", "0.005", "sweep", "offset"]
-    for kind in ("size", "mean_position"):
-        yield f"sweep_{kind}", ["--dt", "0.01", "sweep", kind]
+    sweeps = [("sweep_offset", ["--dt", "0.005", "sweep", "offset"])]
+    sweeps += [(f"sweep_{kind}", ["--dt", "0.01", "sweep", kind]) for kind in ("size", "mean_position")]
     for kind, values in SMALL_SWEEPS.items():
         path = os.path.join(work, f"sweep_{kind}_small.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"sweep": {"kind": kind, **values}}, fh)
-        yield f"sweep_{kind}_small", ["--config", path, "--dt", "0.01", "sweep", kind]
+        sweeps.append((f"sweep_{kind}_small", ["--config", path, "--dt", "0.01", "sweep", kind]))
+    for label, argv in sweeps:
+        for jobs in ("1", "2"):
+            yield f"{label}_jobs{jobs}", ["--jobs", jobs, *argv]
 
 
 def run(tree, configs, out):
@@ -133,6 +135,8 @@ def main(old, new):
                 largest = (f", largest numeric difference {largest_difference(a, b, name):.3g}"
                            if name.endswith((".json", ".csv")) else "")
                 diffs.append(f"{label}/{name}: differs" + (f" at {', '.join(keys)}" if keys else "") + largest)
+    diffs += [f"{label}: files differ from {label[:-1]}1" for label, now in after.items()
+              if label.endswith("_jobs2") and now[3] != after[label[:-1] + "1"][3]]
     print("\n".join(diffs) or "no differences")
     return 1 if diffs else 0
 
