@@ -19,7 +19,6 @@ from .evolution import (
     evolve,
     initial_dimer_state,
     mean_position_and_spread,
-    propagate_step,
     stirap_sequence,
     transfer_efficiency,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "max_band_width",
     "mean_position_and_spread",
     "predict_optimal_period",
-    "propagate_step",
     "required_programmed_amplitude",
     "ripple_frequency",
     "run_sweep",

@@ -3,8 +3,10 @@
 Subcommands: simulate, sweep <kind>, spectrum <instantaneous|excitation>,
 waveform synth, readout <synth|decompose>, stirap, validate. All physical
 inputs come from a JSON config file (frequencies in MHz, times in us);
-flags override execution details only. Outputs embed the resolved config
-so any result can be reproduced from its own file.
+flags override execution details only. The simulate, stirap, waveform and
+readout JSON files embed their resolved config; the sweep files carry the
+SHA-256 hash of the resolved sweep (config_sha256) and _config.json embeds
+it; the spectrum CSVs, basis.csv, trace.csv and waveform.bin embed none.
 
 Exit codes: 0 success, 2 usage, 3 config error, 4 file I/O error,
 5 runtime failure.
@@ -62,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args, cfg) -> str:
-    out = args.out or cfg.get("out_dir") or "."
+def _out_dir(args) -> str:
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -100,12 +102,13 @@ def _cmd_simulate(args, cfg) -> int:
         "times_us": times,
         "cell_populations": pops,
         "final_site_populations": [float(abs(a) ** 2) for a in record.final_state],
-        "transfer_efficiency": evolution.transfer_efficiency(record),
+        "transfer_efficiency": evolution.transfer_efficiency(
+            record, spectrum.target_cell(chain, start_cell, branch, protocol.n_cycles)),
         "winding_number": winding,
         "on_boundary": on_boundary,
         "regime": classify_regime(protocol),
     }
-    path = os.path.join(_out_dir(args, cfg), "simulate.json")
+    path = os.path.join(_out_dir(args), "simulate.json")
     write_json(payload, path)
     print(path)
     return EXIT_OK
@@ -119,7 +122,7 @@ def _cmd_sweep(args, cfg) -> int:
             raise ConfigError(f"config sweep kind {kind!r} conflicts with argument {args.kind!r}")
         spec = sweeps.build_sweep_spec(args.kind, values, jobs=max(1, args.jobs), dt=args.dt)
     result = sweeps.run_sweep(spec)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     base = os.path.join(out, f"sweep_{args.kind}")
     sweeps.write_sweep_csv(result, base + ".csv")
     embedded = {"sweep": {"kind": args.kind, **values}, "resolved": spec.to_dict(),
@@ -154,7 +157,7 @@ def _cmd_spectrum(args, cfg) -> int:
             grid = TWO_PI * np.linspace(-span, span, read(values, "n_detunings", 1201, int))
             name, write = "spectrum_excitation.csv", spectrum.write_excitation_csv
             result = spectrum.excitation_spectrum(chain, point, probe, linewidth, grid)
-    path = os.path.join(_out_dir(args, cfg), name)
+    path = os.path.join(_out_dir(args), name)
     write(result, path)
     print(path)
     return EXIT_OK
@@ -206,7 +209,7 @@ def _cmd_waveform(args, cfg) -> int:
                                             read(values, "bits", defaults.WAVEFORM["bits"], int))
         purity = rfwave.spectral_purity_table(tones, duration)
         csv_dump = read(values, "csv_dump", False, flag)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     bin_path = os.path.join(out, "waveform.bin")
     rfwave.write_waveform_binary(buffer, bin_path)
     write_json(
@@ -261,7 +264,7 @@ def _cmd_readout(args, cfg) -> int:
                 raise ConfigError("readout decompose needs readout.trace_path")
             normalize = read(values, "normalize", True, flag)
             weights, residual = readout.decompose_trace(readout.read_trace_csv(trace_path), basis, normalize=normalize)
-    out = _out_dir(args, cfg)
+    out = _out_dir(args)
     readout.write_basis_csv(basis, os.path.join(out, "basis.csv"))
     report = {"config": {"readout": {**values, "seed": seed}}, "weights": [float(w) for w in weights]}
     if args.action == "synth":
@@ -300,7 +303,7 @@ def _cmd_stirap(args, cfg) -> int:
         "site_populations": site_pops,
         "final_populations": [float(x) for x in pops[-1]],
     }
-    path = os.path.join(_out_dir(args, cfg), "stirap.json")
+    path = os.path.join(_out_dir(args), "stirap.json")
     write_json(payload, path)
     print(path)
     return EXIT_OK

@@ -3,8 +3,8 @@
 Config files are JSON. Values are read with ``read`` inside a ``section``
 block: a key with _mhz in its name is plain MHz and becomes rad/us, times
 stay us, and a bad value raises ConfigError naming its section. Every
-text output goes through ``write_lines`` or ``write_json``, and every
-result file embeds the resolved config so a run can be reproduced.
+text output goes through ``write_lines`` or ``write_json``; which files
+embed the resolved config is listed in cli.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ class ConfigError(ValueError):
 
 
 COMMAND_SECTIONS = ("simulate", "sweep", "spectrum", "waveform", "readout", "stirap")
+# The top-level keys each command reads; validate accepts every section.
+SECTIONS_READ = {"simulate": ("chain", "protocol", "evolution", "simulate"), "sweep": ("sweep",),
+                 "spectrum": ("chain", "protocol", "spectrum"), "waveform": ("protocol", "waveform"),
+                 "readout": ("readout",), "stirap": ("evolution", "stirap"),
+                 "validate": ("chain", "protocol", "evolution") + COMMAND_SECTIONS}
 
 
 def pyify(obj: Any) -> Any:
@@ -64,12 +69,17 @@ def load_config(path: str) -> dict:
 
 def check_command_section(cfg: dict, command: str) -> None:
     """A config holds at most one command section, and it must name the
-    subcommand; validate accepts any one section."""
+    subcommand; validate accepts any one section. Every other top-level key
+    is a shared section (chain, protocol, evolution) that the command reads."""
     present = [name for name in COMMAND_SECTIONS if name in cfg]
     if len(present) > 1:
         raise ConfigError(f"config holds multiple command sections: {present}")
     if present and command != "validate" and present[0] != command:
         raise ConfigError(f"config section {present[0]!r} does not match subcommand {command!r}")
+    try:
+        refuse_unknown_keys(cfg, SECTIONS_READ[command], f"a {command} config")
+    except ValueError as exc:
+        raise ConfigError(f"bad top level: {exc}") from None
 
 
 @contextmanager

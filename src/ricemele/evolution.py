@@ -95,16 +95,12 @@ class PulseSpec:
             raise ValueError(f"width must be positive and finite, got {self.width!r}")
         if not np.isfinite(self.center):
             raise ValueError(f"center must be finite, got {self.center!r}")
+        if self.bond not in (1, 2):
+            raise ValueError(f"bond must be 1 or 2 on a three-site chain, got {self.bond!r}")
 
     def envelope(self, t):
         t = np.asarray(t, dtype=float)
         return 0.5 * self.peak_rabi * np.exp(-(((t - self.center) / self.width) ** 2))
-
-
-def propagate_step(h: np.ndarray, dt: float, psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i h dt) to psi via eigendecomposition of the Hermitian h."""
-    EvolutionConfig(dt)  # rejects a dt that is not positive and finite
-    return _propagate(np.linalg.eigh(np.asarray(h)[None]), dt, psi, store=False)[0]
 
 
 def _propagate(decomposition, dt, psi0, store):
@@ -127,21 +123,19 @@ def _propagate(decomposition, dt, psi0, store):
     n_steps, n = w.shape
     chunk = max(1, _CHUNK_BYTES // (16 * n * n))
     c = np.exp(-1j * w[0] * dt) * (v[0].conj().T @ psi0)
-    coeffs = np.empty((n_steps, n), dtype=complex) if store else None
-    if store:
-        coeffs[0] = c
+    coeffs = np.empty((n_steps // 2, n), dtype=complex) if store else None
     for start in range(1, n_steps, chunk):
         stop = min(start + chunk, n_steps)
         phases = np.exp(-1j * w[start:stop, :, None] * dt)
         steps = phases * (v[start:stop].conj().swapaxes(1, 2) @ v[start - 1:stop - 1])
         for k, a in enumerate(steps, start):
             c = a.dot(c)  # the bits of a @ c, with less overhead per call
-            if store:
-                coeffs[k] = c
+            if store and k % 2:
+                coeffs[k // 2] = c
     psi = v[-1] @ c
     if not store:
         return psi, None
-    v, coeffs = v[1::2], coeffs[1::2]
+    v = v[1::2]
     states = np.empty((len(coeffs) + 1, n), dtype=complex)
     states[0] = psi0
     for start in range(0, len(coeffs), chunk):
@@ -164,8 +158,8 @@ def _step_count(duration: float, dt: float | None, cycle: float) -> int:
 def schedule_key(spec: ChainSpec, protocol: PumpProtocol, dt: float | None = None) -> tuple:
     """What fixes the Hamiltonians evolve decomposes: the chain, the protocol
     at period 1 and the step count. Runs with equal keys, at any period,
-    share one eigendecomposition inside shared_decompositions()."""
-    EvolutionConfig(dt)  # rejects a dt that is not positive and finite
+    share one eigendecomposition inside shared_decompositions(). dt is
+    checked by its callers, through EvolutionConfig or SweepSpec."""
     n_steps = _step_count(protocol.duration, dt, protocol.period)
     return spec, replace(protocol, period=1.0), n_steps
 
@@ -207,21 +201,14 @@ def _cf4_decomposition(spec, couplings, n_steps, span):
     return w, v
 
 
-def _decomposition(key):
-    """(w, v) of the CF4 exponents on the phase grid of a schedule key.
-
-    The Gauss nodes of step j sit at cycle phases (j + 1/2 -+ sqrt(3)/6)
-    n_cycles / n_steps, times over the period, so the grid is the same at
-    every period.
-    """
-    shared = _shared.get()
-    if shared is not None and key in shared:
-        return shared[key]
-    spec, unit, n_steps = key
-    decomposition = _cf4_decomposition(spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles)
-    if shared is not None:
-        shared[key] = decomposition
-    return decomposition
+def _checked_state(psi0, n_sites: int) -> np.ndarray:
+    """psi0 as a complex array; refuses a length other than n_sites or a norm off 1."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (n_sites,):
+        raise ValueError("psi0 length must match n_sites")
+    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
+        raise ValueError("psi0 must be normalized")
+    return psi0
 
 
 def evolve(
@@ -232,18 +219,20 @@ def evolve(
 ) -> EvolutionRecord:
     """Evolve psi0 through n_cycles of the protocol with CF4 steps.
 
-    The Hamiltonian schedule is a function of the cycle phase, so runs at
-    different periods with the same steps per cycle share one
-    eigendecomposition inside shared_decompositions().
+    The Gauss nodes of step j sit at cycle phases (j + 1/2 -+ sqrt(3)/6)
+    n_cycles / n_steps, times the period, so runs at different periods with
+    the same step count decompose the same matrices, once per schedule key
+    inside shared_decompositions().
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.n_sites,):
-        raise ValueError("psi0 length must match n_sites")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
-
-    decomposition = _decomposition(schedule_key(spec, protocol, cfg.dt))
-    return _record(spec, decomposition, protocol.duration, psi0, cfg.store_states, protocol)
+    psi0 = _checked_state(psi0, spec.n_sites)
+    key = schedule_key(spec, protocol, cfg.dt)
+    shared = _shared.get()
+    if shared is None:  # outside shared_decompositions(): this run's alone
+        shared = {}
+    if key not in shared:
+        _, unit, n_steps = key
+        shared[key] = _cf4_decomposition(spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles)
+    return _record(spec, shared[key], protocol.duration, psi0, cfg.store_states, protocol)
 
 
 def _record(spec, decomposition, duration, psi0, store, protocol=None):
@@ -342,18 +331,13 @@ def stirap_sequence(
     from site 1 to site 3 through the dark state.
     """
     spec = ChainSpec(3)
-    if psi0 is None:
-        psi0 = np.zeros(3, dtype=complex)
-        psi0[0] = 1.0
+    psi0 = _checked_state([1.0, 0.0, 0.0] if psi0 is None else psi0, spec.n_sites)
 
     def couplings(t):
         envs = {1: np.zeros(np.shape(t)), 2: np.zeros(np.shape(t))}
         for pulse in (pump, stokes):
-            if pulse.bond not in envs:
-                raise ValueError("bond index must be 1 or 2 on a three-site chain")
             envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t)
         return envs[1], envs[2], np.zeros(np.shape(t))
 
-    n_steps = _step_count(duration, cfg.dt, duration)
-    decomposition = _cf4_decomposition(spec, couplings, n_steps, duration)
+    decomposition = _cf4_decomposition(spec, couplings, _step_count(duration, cfg.dt, duration), duration)
     return _record(spec, decomposition, duration, psi0, cfg.store_states)

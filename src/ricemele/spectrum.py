@@ -172,15 +172,19 @@ def predict_optimal_period(protocol: PumpProtocol) -> float:
 
 def transport_efficiency(spec: ChainSpec, protocol: PumpProtocol, start_cell: int = 1,
                          branch: str = "lower", dt: float | None = None) -> float:
-    """Destination-cell efficiency after n_cycles from start_cell's dimer state.
-
-    The destination is start_cell advanced by one cell per cycle, clipped
-    to the end of the chain. dt is the length of one CF4 step (see
-    evolution); dt=None takes 512 steps per period.
-    """
+    """Efficiency into target_cell after n_cycles from start_cell's dimer state,
+    stepped by dt, one CF4 step (see evolution); dt=None takes 512 per period."""
     psi0 = evolution.initial_dimer_state(spec, sample_trajectory(protocol, 0.0), start_cell, branch)
     record = evolution.evolve(spec, protocol, psi0, evolution.EvolutionConfig(dt=dt, store_states=False))
-    return evolution.transfer_efficiency(record, min(start_cell + protocol.n_cycles, spec.n_cells))
+    return evolution.transfer_efficiency(record, target_cell(spec, start_cell, branch, protocol.n_cycles))
+
+
+def target_cell(spec: ChainSpec, start_cell: int, branch: str, n_cycles: int) -> int:
+    """The cell n_cycles pump start_cell's dimer state to, clipped to the chain:
+    one cell per cycle toward the end for the lower band at delta_parity +1
+    and the upper band at -1, toward the start for the other two pairs."""
+    direction = 1 if (branch == "lower") == (spec.delta_parity == 1) else -1
+    return min(max(start_cell + direction * n_cycles, 1), spec.n_cells)
 
 
 def efficiency_vs_period(

@@ -68,6 +68,9 @@ def test_active_section_requires_exactly_one(tmp_path):
     check_command_section({"simulate": {}}, "simulate")
     check_command_section({}, "simulate")
     check_command_section({"stirap": {}}, "validate")
+    check_command_section({"chain": {}, "protocol": {}, "evolution": {}, "stirap": {}}, "validate")
+    check_command_section({"evolution": {}, "stirap": {}}, "stirap")
+    check_command_section({"protocol": {}}, "waveform")
     with pytest.raises(ConfigError, match="multiple command sections"):
         check_command_section({"simulate": {}, "stirap": {}}, "simulate")
     with pytest.raises(ConfigError, match="does not match subcommand 'simulate'"):
@@ -108,6 +111,16 @@ def test_validate_passes_with_defaults(capsys):
     out = capsys.readouterr().out.splitlines()
     assert sum(1 for line in out if line.startswith("ok: ")) == 5
     assert out[-1] == "all 5 checks passed"
+
+
+def test_simulate_scores_the_cell_the_pump_moves_to(tmp_path):
+    """Started in cell 2 of 5, two control_freak cycles end in cell 4, not in the last cell."""
+    cfg = write_config(tmp_path, {"chain": {"n_sites": 9}, "protocol": {"kind": "control_freak", "period_us": 10.0},
+                                  "simulate": {"start_cell": 2}})
+    assert main(["--config", cfg, "--out", str(tmp_path), "simulate"]) == 0
+    payload = json.loads((tmp_path / "simulate.json").read_text())
+    assert payload["transfer_efficiency"] == pytest.approx(payload["cell_populations"][-1][3])
+    assert payload["transfer_efficiency"] > 0.99
 
 
 def test_validate_ignores_section_mismatch(tmp_path):
@@ -357,6 +370,21 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
      ["waveform", "synth"], "bad waveform section: unknown keys ['rabi_mzh']; a tone takes sites, carrier_mhz"),
     ({"waveform": {**WAVEFORM, "tones": [[1, 2]]}}, ["waveform", "synth"],
      "bad waveform section: a tone must be a JSON object, got [1, 2]"),
+    ({"protocl": {"period_us": 9.0}}, ["simulate"],
+     "bad top level: unknown keys ['protocl']; a simulate config takes chain, protocol, evolution, simulate"),
+    ({**SIM_CONFIG, "out_dir": "results"}, ["simulate"], "bad top level: unknown keys ['out_dir']"),
+    ({"sweep": {"kind": "offset"}, "protocol": {"period_us": 9.0}, "evolution": {"dt_us": 0.5}},
+     ["--dt", "0.05", "sweep", "offset"],
+     "bad top level: unknown keys ['evolution', 'protocol']; a sweep config takes sweep"),
+    ({"chain": {"n_sites": 9}, "stirap": {}}, ["stirap"],
+     "bad top level: unknown keys ['chain']; a stirap config takes evolution, stirap"),
+    ({"evolution": {"dt_us": 0.5}, "spectrum": {}}, ["spectrum", "excitation"],
+     "bad top level: unknown keys ['evolution']; a spectrum config takes chain, protocol, spectrum"),
+    ({"chain": {"n_sites": 9}, "waveform": WAVEFORM}, ["waveform", "synth"],
+     "bad top level: unknown keys ['chain']; a waveform config takes protocol, waveform"),
+    ({"protocol": {"period_us": 9.0}}, ["readout", "synth"],
+     "bad top level: unknown keys ['protocol']; a readout config takes readout"),
+    ({**SIM_CONFIG, "validate": {}}, ["validate"], "bad top level: unknown keys ['validate']"),
 ], ids=["sweep-n_sites", "sweep-axis", "sweep-dt", "protocol-nan", "evolution-nan", "chain-n_sites", "chain-delta_parity",
         "chain-cells", "protocol-unknown", "simulate-start_cell", "simulate-branch", "spectrum-linewidth",
         "spectrum-linewidth-nan", "spectrum-n_times", "spectrum-probe_site", "spectrum-probe_time-nan",
@@ -366,7 +394,9 @@ WAVEFORM = {"tones": [TONE], "duration_us": 1.0, "sample_rate_per_us": 200.0}
         "evolution-store_states", "readout-normalize", "waveform-csv_dump", "readout-trace-nan",
         "readout-ramp_times-nan", "readout-grid-nan", "spectrum-detuning_span-nan", "simulate-unknown",
         "spectrum-unknown", "waveform-unknown", "readout-unknown", "validate-readout-unknown", "stirap-unknown",
-        "sweep-unknown", "sweep-size-n_sites", "waveform-tone-unknown", "waveform-tone-not-object"])
+        "sweep-unknown", "sweep-size-n_sites", "waveform-tone-unknown", "waveform-tone-not-object",
+        "top-level-unknown", "top-level-out_dir", "sweep-unread-shared", "stirap-unread-chain",
+        "spectrum-unread-evolution", "waveform-unread-chain", "readout-unread-protocol", "validate-unknown"])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, payload, command, named):
     cfg = write_config(tmp_path, payload)  # json writes NaN, which json.load reads back
     assert main(["--config", cfg, "--out", str(tmp_path), *command]) == 3

@@ -19,7 +19,6 @@ from ricemele.evolution import (
     evolve,
     initial_dimer_state,
     mean_position_and_spread,
-    propagate_step,
     stirap_sequence,
     transfer_efficiency,
 )
@@ -34,30 +33,33 @@ def start_state(chain=CHAIN, proto=PROTO, cell=1, branch="lower"):
     return initial_dimer_state(chain, sample_trajectory(proto, 0.0), cell, branch)
 
 
-def test_propagate_step_matches_two_site_rabi_formula():
+def propagate(hs, dt, psi):
+    """exp(-i h dt) for each Hermitian h of the stack hs in turn, applied to
+    psi by the stepping core."""
+    return evolution._propagate(np.linalg.eigh(hs), dt, psi, store=False)[0]
+
+
+def test_propagate_matches_two_site_rabi_formula():
     # H = [[0, -J], [-J, 0]] transfers with probability sin^2(J t)
     j = 1.7
     h = np.array([[0.0, -j], [-j, 0.0]])
     psi = np.array([1.0, 0.0], dtype=complex)
     for t in (0.1, 0.5, 2.3):
-        out = propagate_step(h, t, psi)
+        out = propagate(h[None], t, psi)
         assert abs(out[1]) ** 2 == pytest.approx(np.sin(j * t) ** 2, abs=1e-12)
 
 
-def test_propagate_step_is_unitary_and_rejects_bad_dt():
+def test_propagate_is_unitary():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(5, 5))
     h = (h + h.T) / 2
     psi = rng.normal(size=5) + 1j * rng.normal(size=5)
     psi /= np.linalg.norm(psi)
-    out = propagate_step(h, 0.37, psi)
+    out = propagate(h[None], 0.37, psi)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-14)
-    for dt in (0.0, -0.1, np.nan, np.inf):
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
-            propagate_step(h, dt, psi)
 
 
-def test_propagate_step_matches_expm_for_complex_hermitian_h():
+def test_propagate_matches_expm_for_complex_hermitian_h():
     rng = np.random.default_rng(3)
     for n in (2, 5, 12):
         h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -65,7 +67,7 @@ def test_propagate_step_matches_expm_for_complex_hermitian_h():
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         for dt in (0.01, 0.37, 2.0):
-            np.testing.assert_allclose(propagate_step(h, dt, psi), expm(-1j * dt * h) @ psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(propagate(h[None], dt, psi), expm(-1j * dt * h) @ psi, rtol=0, atol=1e-12)
     # the core's overlaps v_k^H v_(k-1) between steps of a complex stack
     hs = rng.normal(size=(4, 6, 6)) + 1j * rng.normal(size=(4, 6, 6))
     hs = (hs + hs.conj().swapaxes(1, 2)) / 2
@@ -163,11 +165,19 @@ def test_decomposition_holds_its_output_and_a_few_chunks():
     assert peak <= w.nbytes + v.nbytes + 3 * evolution._CHUNK_BYTES
 
 
-def test_step_reversal_recovers_state():
-    h = build_hamiltonian(CHAIN, ParameterPoint(1.0, 0.5, 2.0))
-    psi = start_state()
-    back = propagate_step(-h, 0.2, propagate_step(h, 0.2, psi))
-    np.testing.assert_allclose(back, psi, atol=1e-13)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), n_matrices=st.integers(1, 40), dt=st.floats(0.0, 2.0, exclude_min=True),
+       complex_h=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_step_reversal_recovers_state(n, n_matrices, dt, complex_h, seed):
+    """Stepping through a Hermitian stack and then through the reversed
+    stack of -H returns the state."""
+    rng = np.random.default_rng(seed)
+    hs = rng.normal(size=(n_matrices, n, n)) + (1j * rng.normal(size=(n_matrices, n, n)) if complex_h else 0)
+    hs = (hs + hs.conj().swapaxes(1, 2)) / 2
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    back = propagate(-hs[::-1], dt, propagate(hs, dt, psi))
+    np.testing.assert_allclose(back, psi, rtol=0, atol=1e-12)
 
 
 def test_evolve_norm_drift_stays_tiny():
@@ -194,11 +204,21 @@ def test_norm_and_population_sum_are_conserved(n_sites, parity, kind, j_max, del
     assert np.abs(cell_populations(record.states, chain).sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_evolve_requires_normalized_matching_state():
-    with pytest.raises(ValueError):
-        evolve(CHAIN, PROTO, np.ones(5, dtype=complex), EvolutionConfig(dt=0.01))
-    with pytest.raises(ValueError):
-        evolve(CHAIN, PROTO, np.array([1.0, 0.0, 0.0], dtype=complex), EvolutionConfig(dt=0.01))
+@pytest.mark.parametrize("run, n_sites", [
+    (lambda psi0: evolve(CHAIN, PROTO, psi0, EvolutionConfig(dt=0.01)), 5),
+    (lambda psi0: stirap_sequence(PulseSpec(1.0, 1.0, 1.0), PulseSpec(1.0, 2.0, 1.0, bond=2), 4.0, psi0=psi0), 3),
+], ids=["evolve", "stirap_sequence"])
+def test_evolve_requires_normalized_matching_state(eigh_matrices, run, n_sites):
+    unnormalized = np.zeros(n_sites, dtype=complex)
+    unnormalized[0] = 2.0
+    with pytest.raises(ValueError, match="psi0 must be normalized"):
+        run(unnormalized)
+    with pytest.raises(ValueError, match="psi0 length must match n_sites"):
+        run(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="psi0 length must match n_sites"):
+        run(np.ones(n_sites + 1, dtype=complex) / np.sqrt(n_sites + 1))
+    # refused before anything is decomposed
+    assert eigh_matrices(n_sites) == 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -401,5 +421,6 @@ def test_stirap_intuitive_order_fails_to_transfer_cleanly():
 
 
 def test_stirap_rejects_bad_bond():
-    with pytest.raises(ValueError):
-        stirap_sequence(PulseSpec(1.0, 1.0, 1.0, bond=3), PulseSpec(1.0, 2.0, 1.0, bond=2), 4.0)
+    for bond in (0, 3):
+        with pytest.raises(ValueError, match=f"bond must be 1 or 2 on a three-site chain, got {bond}"):
+            PulseSpec(1.0, 1.0, 1.0, bond=bond)

@@ -28,6 +28,8 @@ from ricemele.spectrum import (
     max_band_width,
     predict_optimal_period,
     smooth_moving_average,
+    target_cell,
+    transport_efficiency,
     write_excitation_csv,
     write_spectrum_csv,
 )
@@ -219,6 +221,19 @@ def test_pump_efficiency_destination_selection():
         transfer_efficiency(record, 4)
     with pytest.raises(ValueError):
         transfer_efficiency(record, 0)
+
+
+@pytest.mark.parametrize("branch, parity, target", [
+    ("lower", 1, 5), ("upper", -1, 5), ("upper", 1, 1), ("lower", -1, 1)])
+def test_efficiency_scores_the_cell_the_pump_moves_to(branch, parity, target):
+    """control_freak pumps one cell per cycle, toward the chain's end or its
+    start by band and parity; the scored cell follows it."""
+    chain = ChainSpec(9, parity)
+    proto = PumpProtocol("control_freak", TWO_PI * 1.5, TWO_PI * 7.0, 0.0, 10.0, 2)
+    assert target_cell(chain, 3, branch, 2) == target
+    assert transport_efficiency(chain, proto, 3, branch) > 0.99
+    # clipped to the chain's cells
+    assert target_cell(chain, 2, branch, 4) == (5 if target == 5 else 1)
 
 
 def test_efficiency_vs_period_shape_and_range():

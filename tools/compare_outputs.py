@@ -10,7 +10,10 @@ decompose` of the trace its own `readout synth` run wrote, `simulate` and
 `sweep period_delta`, `protocol_compare` and `topt_collapse` on the small
 grids of SMALL_SWEEPS at --dt 0.01, so every sweep kind runs, each sweep
 at --jobs 1 and at --jobs 2; all write under the same --out path so
-printed paths agree.
+printed paths agree. Each tree also runs every demos/*.py script of
+NEW_TREE, each in its own empty folder, and its stdout and the files it
+writes to demo_out/ are compared the same way; the demos reach library
+paths that no CLI command does.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
 differing JSON file names its differing keys, and a differing CSV or JSON
 file gives the largest absolute difference between numbers at the same
@@ -67,6 +70,15 @@ def cases(configs, work, out):
             yield f"{label}_jobs{jobs}", ["--jobs", jobs, *argv]
 
 
+def read_files(folder):
+    """{file name: bytes} of every file in folder, {} when it does not exist."""
+    files = {}
+    for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
+        with open(os.path.join(folder, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
 def run(tree, configs, out):
     """{case: (exit code, stdout, stderr, {file name: bytes})} for one tree; removes out."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
@@ -76,11 +88,14 @@ def run(tree, configs, out):
         folder = os.path.join(out, label)
         proc = subprocess.run([sys.executable, "-m", "ricemele.cli", "--out", folder, *argv],
                               capture_output=True, env=env, cwd=work)
-        files = {}
-        for name in sorted(os.listdir(folder)) if os.path.isdir(folder) else ():
-            with open(os.path.join(folder, name), "rb") as fh:
-                files[name] = fh.read()
-        results[label] = (proc.returncode, proc.stdout, proc.stderr, files)
+        results[label] = (proc.returncode, proc.stdout, proc.stderr, read_files(folder))
+    demos = os.path.dirname(configs)
+    for name in sorted(n for n in os.listdir(demos) if n.endswith(".py")):
+        label = f"demo_{name[:-3]}"
+        folder = os.path.join(out, label)
+        os.makedirs(folder)
+        proc = subprocess.run([sys.executable, os.path.join(demos, name)], capture_output=True, env=env, cwd=folder)
+        results[label] = (proc.returncode, proc.stdout, proc.stderr, read_files(os.path.join(folder, "demo_out")))
     shutil.rmtree(out, ignore_errors=True)
     return results
 
