@@ -14,6 +14,13 @@ accuracy regardless of step size. The default is 512 steps per cycle.
 The state is carried in each exponent's eigenbasis: one exponential
 multiplies its coefficients by the overlap of consecutive eigenbases
 times the exponent's phases, one small complex matrix-vector product.
+
+The overlaps depend on the exponents alone, so they are computed as the
+exponents are decomposed. Runs that share a decomposition, the periods of
+a scan inside shared_decompositions(), hold its eigenvalues and overlaps
+and step through them at each period's dt. A run that no other run
+shares steps each chunk of exponents as soon as it is decomposed, so it
+holds one chunk at a time.
 """
 
 from __future__ import annotations
@@ -29,20 +36,22 @@ from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 512
-# Most steps one run may take. A run of K steps on N sites holds the
-# eigenvectors of its 2K exponents, 8 * 2K * N**2 bytes, plus one chunk of
-# _CHUNK_BYTES; a larger run is refused before anything is allocated, as at
-# 2**21 exponents those eigenvectors alone would take gigabytes. No test,
-# demo or benchmark run takes more than 262,145 steps.
+# Most steps one run may take. A shared run of K steps on N sites holds the
+# eigenvalues and the overlaps of its 2K exponents, 8 * 2K * N**2 bytes
+# (and its K odd eigenbases, half as much again, if it stores states); a
+# run that nothing shares holds one chunk of _CHUNK_BYTES at a time besides
+# its output. A larger run is refused before anything is allocated, as at
+# 2**21 exponents a shared decomposition alone would take gigabytes. No
+# test, demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**20
 # CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
 # exponent weights a1, a2 (see the module docstring).
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
-# Bytes of matrices built at a time: Hamiltonians and eigenvectors in
-# _cf4_decomposition, step matrices in _propagate. A bound on the memory a
-# run takes beyond its eigenvectors, large enough that the stacked eigh and
-# matmul calls amortise their call cost.
+# Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
+# overlaps of a chunk in _eigen_chunks, half its step matrices in
+# _propagate. A bound on the memory a run takes beyond what it holds, large
+# enough that the stacked eigh and matmul calls amortise their call cost.
 _CHUNK_BYTES = 2**20
 
 
@@ -103,44 +112,44 @@ class PulseSpec:
         return 0.5 * self.peak_rabi * np.exp(-(((t - self.center) / self.width) ** 2))
 
 
-def _propagate(decomposition, dt, psi0, store):
-    """Shared stepping core: apply exp(-i h[k] dt) for each matrix of the
-    eigendecomposed stack (w, v) in turn.
+def _propagate(chunks, count, dt, psi0, store):
+    """Shared stepping core: apply exp(-i h[k] dt) for each of the count
+    Hermitian matrices that _eigen_chunks decomposed, in turn.
 
     The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
         c_0 = p_0 * (v_0^H psi0),  c_k = A_k c_(k-1),  psi_k = v_k c_k,
         A_k = p_k[:, None] * (v_k^H v_(k-1)),  p_k = exp(-i w_k dt),
 
-    so each exponential is one complex matrix-vector product. The A_k,
-    phases included, are built a chunk at a time within _CHUNK_BYTES, with
-    stacked matmuls.
-    Returns the final state psi_(K-1) and, with store, psi0 followed by
+    so each exponential is one complex matrix-vector product. The chunks
+    carry the overlaps v_k^H v_(k-1); each chunk's phases are multiplied
+    into them in one reused buffer. chunks may be a list, shared by runs at
+    any dt, or a generator, decomposed as it is stepped.
+    Returns the final state psi_(count-1) and, with store, psi0 followed by
     every second psi_k (psi_1, psi_3, ...): the states after whole CF4
-    steps, K // 2 + 1 states.
+    steps, count // 2 + 1 states. store needs an even count, as CF4 gives.
     """
-    w, v = decomposition
-    n_steps, n = w.shape
-    chunk = max(1, _CHUNK_BYTES // (16 * n * n))
-    c = np.exp(-1j * w[0] * dt) * (v[0].conj().T @ psi0)
-    coeffs = np.empty((n_steps // 2, n), dtype=complex) if store else None
-    for start in range(1, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        phases = np.exp(-1j * w[start:stop, :, None] * dt)
-        steps = phases * (v[start:stop].conj().swapaxes(1, 2) @ v[start - 1:stop - 1])
-        for k, a in enumerate(steps, start):
+    states = np.empty((count // 2 + 1, len(psi0)), dtype=complex) if store else None
+    k = row = 1  # the index of the next matrix, and of the next stored state
+    for w, overlaps, first, bases in chunks:
+        if first is not None:  # matrix 0, entered from the site basis
+            c = np.exp(-1j * w[0] * dt) * (first.conj().T @ psi0)
+            steps = np.empty((len(w),) + first.shape, dtype=complex)  # the A_k of every chunk in turn
+            w, final = w[1:], None
+        for j, a in enumerate(np.multiply(np.exp(-1j * w[:, :, None] * dt), overlaps, out=steps[:len(w)]), k):
             c = a.dot(c)  # the bits of a @ c, with less overhead per call
-            if store and k % 2:
-                coeffs[k // 2] = c
-    psi = v[-1] @ c
-    if not store:
-        return psi, None
-    v = v[1::2]
-    states = np.empty((len(coeffs) + 1, n), dtype=complex)
-    states[0] = psi0
-    for start in range(0, len(coeffs), chunk):
-        states[start + 1:start + chunk + 1] = (v[start:start + chunk] @ coeffs[start:start + chunk, :, None])[..., 0]
-    states[-1] = psi  # the no-store expression, so the final state does not depend on store
+            if store and j % 2:
+                states[j // 2 + 1] = c
+        k += len(w)
+        if store:  # leave the eigenbasis at this chunk's odd matrices
+            done = slice(row, row + len(bases))
+            states[done] = (bases @ states[done, :, None])[..., 0]
+            row = done.stop
+        final = bases[-1] if len(bases) else final
+    psi = final @ c
+    if store:
+        states[0] = psi0
+        states[-1] = psi  # the no-store expression, so the final state does not depend on store
     return psi, states
 
 
@@ -178,27 +187,56 @@ def shared_decompositions():
         _shared.reset(token)
 
 
-def _cf4_decomposition(spec, couplings, n_steps, span):
-    """(w, v) of the CF4 exponents of n_steps equal steps over [0, span],
-    interleaved M1, M2 step by step: 2 n_steps real symmetric matrices.
+def _eigen_chunks(stacks, count, store):
+    """Eigendecompose count Hermitian matrices, given as consecutive stacks,
+    into what _propagate steps with: per stack, (w, overlaps, first, bases).
+
+    w holds the stack's eigenvalues and overlaps the v_k^H v_(k-1) of its
+    matrices k > 0, the first of a later stack taken against the last
+    eigenbasis of the one before. first is v_0 in the first stack and None
+    after. bases are the eigenbases _propagate leaves the eigenbasis
+    through: the odd-numbered ones with store, else the last one, in the
+    last stack. Each is a copy, so a held chunk keeps no stack of
+    eigenvectors alive. No stack may be longer than the first.
+    """
+    start, previous = 0, None
+    for w, v in map(np.linalg.eigh, stacks):  # each stack is dropped once decomposed
+        vh = (v.conj() if np.iscomplexobj(v) else v).swapaxes(1, 2)
+        if previous is None:
+            overlaps, first = vh[1:] @ v[:-1], v[0].copy()
+        else:
+            overlaps, first = np.empty_like(v), None
+            overlaps[0] = vh[0] @ previous
+            np.matmul(vh[1:], v[:-1], out=overlaps[1:])
+        if store:
+            bases = v[(start + 1) % 2::2].copy()
+        else:
+            bases = v[-1:].copy() if start + len(v) == count else v[:0].copy()
+        start, previous = start + len(v), v[-1].copy()
+        del v, vh  # so that the next stack is decomposed without these eigenvectors
+        yield w, overlaps, first, bases
+
+
+def _cf4_decomposition(spec, couplings, n_steps, span, store):
+    """_eigen_chunks of the CF4 exponents of n_steps equal steps over
+    [0, span], interleaved M1, M2 step by step: 2 n_steps real symmetric
+    matrices, a generator.
 
     couplings maps an array of times to (J1, J2, delta) arrays of its
     shape. H is linear in them, so each exponent is the Hamiltonian of the
     weighted couplings at the step's two Gauss nodes. The Hamiltonians are
-    built and decomposed a chunk of _CHUNK_BYTES at a time into the output,
-    so no full stack of them exists; eigh decomposes each matrix on its
-    own, so the chunking does not change a bit.
+    built and decomposed a chunk of _CHUNK_BYTES at a time, so no full
+    stack of them exists; eigh decomposes each matrix on its own, so the
+    chunking does not change a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
     weighted = [np.stack([_A1 * c[:, 0] + _A2 * c[:, 1], _A2 * c[:, 0] + _A1 * c[:, 1]], axis=1).ravel()
                 for c in couplings(nodes)]
     n = spec.n_sites
-    w, v = np.empty((2 * n_steps, n)), np.empty((2 * n_steps, n, n))
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
-    for start in range(0, 2 * n_steps, chunk):
-        part = slice(start, start + chunk)
-        w[part], v[part] = np.linalg.eigh(build_hamiltonians(spec, *(x[part] for x in weighted)))
-    return w, v
+    stacks = (build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted))
+              for start in range(0, 2 * n_steps, chunk))
+    return _eigen_chunks(stacks, 2 * n_steps, store)
 
 
 def _checked_state(psi0, n_sites: int) -> np.ndarray:
@@ -226,21 +264,25 @@ def evolve(
     """
     psi0 = _checked_state(psi0, spec.n_sites)
     key = schedule_key(spec, protocol, cfg.dt)
+    _, unit, n_steps = key
+    decompose = partial(_cf4_decomposition, spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles,
+                        cfg.store_states)
     shared = _shared.get()
-    if shared is None:  # outside shared_decompositions(): this run's alone
-        shared = {}
-    if key not in shared:
-        _, unit, n_steps = key
-        shared[key] = _cf4_decomposition(spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles)
-    return _record(spec, shared[key], protocol.duration, psi0, cfg.store_states, protocol)
+    if shared is None:  # outside shared_decompositions(): stepped as it is decomposed
+        chunks = decompose()
+    else:  # held for every run of its key, and of its store_states, in the block
+        held = (key, cfg.store_states)
+        if held not in shared:
+            shared[held] = list(decompose())
+        chunks = shared[held]
+    return _record(spec, chunks, n_steps, protocol.duration, psi0, cfg.store_states, protocol)
 
 
-def _record(spec, decomposition, duration, psi0, store, protocol=None):
+def _record(spec, chunks, n_steps, duration, psi0, store, protocol=None):
     """Step psi0 through [0, duration], one equal CF4 step per pair of
     decomposed exponents; stores the states after whole steps."""
-    n_steps = len(decomposition[0]) // 2
     dt = duration / n_steps
-    psi, states = _propagate(decomposition, dt, psi0, store)
+    psi, states = _propagate(chunks, 2 * n_steps, dt, psi0, store)
     if store:
         times = np.linspace(0.0, duration, n_steps + 1)
     else:
@@ -330,6 +372,8 @@ def stirap_sequence(
     default; counter-intuitive ordering (Stokes first) moves population
     from site 1 to site 3 through the dark state.
     """
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     spec = ChainSpec(3)
     psi0 = _checked_state([1.0, 0.0, 0.0] if psi0 is None else psi0, spec.n_sites)
 
@@ -339,5 +383,6 @@ def stirap_sequence(
             envs[pulse.bond] = envs[pulse.bond] + pulse.envelope(t)
         return envs[1], envs[2], np.zeros(np.shape(t))
 
-    decomposition = _cf4_decomposition(spec, couplings, _step_count(duration, cfg.dt, duration), duration)
-    return _record(spec, decomposition, duration, psi0, cfg.store_states)
+    n_steps = _step_count(duration, cfg.dt, duration)
+    chunks = _cf4_decomposition(spec, couplings, n_steps, duration, cfg.store_states)
+    return _record(spec, chunks, n_steps, duration, psi0, cfg.store_states)

@@ -1,6 +1,7 @@
 """Propagator accuracy, state preparation, observables, and STIRAP."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,10 +34,11 @@ def start_state(chain=CHAIN, proto=PROTO, cell=1, branch="lower"):
     return initial_dimer_state(chain, sample_trajectory(proto, 0.0), cell, branch)
 
 
-def propagate(hs, dt, psi):
+def propagate(hs, dt, psi, store=False):
     """exp(-i h dt) for each Hermitian h of the stack hs in turn, applied to
-    psi by the stepping core."""
-    return evolution._propagate(np.linalg.eigh(hs), dt, psi, store=False)[0]
+    psi by the stepping core: the final state and, with store, the states."""
+    out = evolution._propagate(evolution._eigen_chunks([hs], len(hs), store), len(hs), dt, psi, store)
+    return out if store else out[0]
 
 
 def test_propagate_matches_two_site_rabi_formula():
@@ -74,7 +76,7 @@ def test_propagate_matches_expm_for_complex_hermitian_h():
     expected = psi = np.ones(6, dtype=complex) / np.sqrt(6)
     for h in hs:
         expected = expm(-0.3j * h) @ expected
-    psi, states = evolution._propagate(np.linalg.eigh(hs), 0.3, psi, store=True)
+    psi, states = propagate(hs, 0.3, psi, store=True)
     np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-12)
     assert np.array_equal(states[-1], psi)
 
@@ -146,10 +148,19 @@ def whole_stack_decomposition(chain, couplings, n_steps, span):
 def test_chunked_decomposition_equals_whole_stack_eigh(monkeypatch, n_sites):
     chain, couplings = ChainSpec(n_sites), lambda t: sample_trajectory(PROTO, t)
     expected = whole_stack_decomposition(chain, couplings, 100, PROTO.duration)
+    v = expected.eigenvectors
     # 3 exponents per chunk: chunks split steps' M1, M2 pairs, and 200 = 66 * 3 + 2 ends short
     monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 8 * n_sites**2)
-    w, v = evolution._cf4_decomposition(chain, couplings, 100, PROTO.duration)
-    assert np.array_equal(w, expected.eigenvalues) and np.array_equal(v, expected.eigenvectors)
+    for store in (True, False):
+        w, overlaps, first, bases = zip(*evolution._cf4_decomposition(chain, couplings, 100, PROTO.duration, store))
+        assert np.array_equal(np.concatenate(w), expected.eigenvalues) and np.array_equal(first[0], v[0])
+        assert all(f is None for f in first[1:])
+        assert np.array_equal(np.concatenate(overlaps), v[1:].conj().swapaxes(1, 2) @ v[:-1])
+        assert np.array_equal(np.concatenate(bases), v[1::2] if store else v[-1:])
+
+
+def held_bytes(chunks):
+    return sum(a.nbytes for chunk in chunks for a in chunk if a is not None)
 
 
 def test_decomposition_holds_its_output_and_a_few_chunks():
@@ -157,12 +168,31 @@ def test_decomposition_holds_its_output_and_a_few_chunks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        w, v = evolution._cf4_decomposition(chain, lambda t: sample_trajectory(PROTO, t), 512, PROTO.duration)
+        chunks = list(evolution._cf4_decomposition(chain, lambda t: sample_trajectory(PROTO, t), 512,
+                                                   PROTO.duration, False))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     # the output is 7.6 MB; a whole stack of Hamiltonians would add as much again
-    assert peak <= w.nbytes + v.nbytes + 3 * evolution._CHUNK_BYTES
+    assert peak <= held_bytes(chunks) + 3 * evolution._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_unshared_run_holds_its_output_and_a_few_chunks(store):
+    """A run outside shared_decompositions() steps each chunk as it is
+    decomposed: its 8,192 eigenvectors, 59 MB, never exist at once."""
+    chain, cfg = ChainSpec(30), EvolutionConfig(dt=PROTO.duration / 4096, store_states=store)
+    psi0 = start_state(chain, PROTO, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        record = evolve(chain, PROTO, psi0, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(record.states) == (4097 if store else 2)
+    # the complex step buffer (2 chunks), the chunk being stepped (2) and the one being decomposed (3)
+    assert peak <= record.times.nbytes + record.states.nbytes + 7 * evolution._CHUNK_BYTES
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,6 +208,26 @@ def test_step_reversal_recovers_state(n, n_matrices, dt, complex_h, seed):
     psi /= np.linalg.norm(psi)
     back = propagate(-hs[::-1], dt, propagate(hs, dt, psi))
     np.testing.assert_allclose(back, psi, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sites=st.integers(2, 12), steps=st.integers(1, 300), periods=st.lists(st.floats(0.2, 5.0), min_size=2,
+       max_size=2), store=st.booleans(), chunk_matrices=st.integers(1, 40))
+def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, store, chunk_matrices):
+    """A run at T2 that steps through the decomposition a run at T1 left
+    inside shared_decompositions() equals a run at T2 that nothing shares,
+    stepped as it is decomposed."""
+    chain = ChainSpec(n_sites)
+    first, second = (replace(PROTO, period=period) for period in periods)
+    psi0 = start_state(chain, PROTO)
+    cfgs = [EvolutionConfig(dt=proto.duration / steps, store_states=store) for proto in (first, second)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolution, "_CHUNK_BYTES", chunk_matrices * 8 * n_sites**2)
+        with evolution.shared_decompositions():
+            evolve(chain, first, psi0, cfgs[0])
+            shared = evolve(chain, second, psi0, cfgs[1])
+        alone = evolve(chain, second, psi0, cfgs[1])
+    assert np.array_equal(shared.states, alone.states) and np.array_equal(shared.times, alone.times)
 
 
 def test_evolve_norm_drift_stays_tiny():
@@ -361,6 +411,25 @@ def test_branch_mirror_under_parity_flip():
         assert effs[+1] == pytest.approx(effs[-1], abs=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(offset=st.floats(-TWO_PI * 10.0, TWO_PI * 10.0), period=st.floats(0.2, 3.0), n_sites=st.integers(2, 9),
+       cell=st.integers(1, 4))
+def test_branch_mirror_under_parity_flip_holds_everywhere(offset, period, n_sites, cell):
+    """The sublattice exchange of test_branch_mirror_under_parity_flip, at
+    any offset and period, on odd and even chains, from any full cell: the
+    lower branch at parity +1 and the upper branch at -1 end with the same
+    cell populations."""
+    proto = PumpProtocol("experimental", TWO_PI * 1.5, TWO_PI * 7.0, offset, period, 2)
+    cell = min(cell, n_sites // 2)
+    cfg = EvolutionConfig(dt=period / 256, store_states=False)
+    pops = []
+    for parity, branch in ((+1, "lower"), (-1, "upper")):
+        chain = ChainSpec(n_sites, delta_parity=parity)
+        psi0 = initial_dimer_state(chain, sample_trajectory(proto, 0.0), cell, branch)
+        pops.append(cell_populations(evolve(chain, proto, psi0, cfg).final_state, chain))
+    np.testing.assert_allclose(pops[0], pops[1], rtol=0, atol=1e-12)
+
+
 def test_cell_populations_group_site_weights():
     psi = np.sqrt(np.array([0.1, 0.2, 0.3, 0.25, 0.15], dtype=complex))
     pops = cell_populations(psi, CHAIN)
@@ -418,6 +487,13 @@ def test_stirap_intuitive_order_fails_to_transfer_cleanly():
     record = stirap_sequence(pump, stokes, 6.0, EvolutionConfig(dt=6.0 / 4096))
     pops = np.abs(record.states) ** 2
     assert pops[:, 1].max() > 0.2
+
+
+@pytest.mark.parametrize("duration", [0.0, -6.0, np.nan, np.inf])
+def test_stirap_refuses_a_duration_that_is_not_positive_and_finite(eigh_matrices, duration):
+    with pytest.raises(ValueError, match=f"duration must be positive and finite, got {duration!r}"):
+        stirap_sequence(PulseSpec(1.0, 1.0, 1.0), PulseSpec(1.0, 2.0, 1.0, bond=2), duration)
+    assert eigh_matrices(3) == 0
 
 
 def test_stirap_rejects_bad_bond():
