@@ -178,8 +178,10 @@ _shared = ContextVar("shared_decompositions", default=None)
 
 @contextmanager
 def shared_decompositions():
-    """Inside the block, evolve decomposes each schedule key once and reuses
-    it; every decomposition is dropped when the block ends."""
+    """Inside the block, evolve decomposes each (schedule key, store_states)
+    once and reuses it; every decomposition is dropped when the block ends.
+    Runs of one key that differ in store_states decompose its matrices
+    once each, since they keep different eigenbases."""
     token = _shared.set({})
     try:
         yield

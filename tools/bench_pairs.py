@@ -1,14 +1,14 @@
 """Benchmark two source trees in alternating pairs and write BENCH_<label>.json.
 
     python3 tools/bench_pairs.py OLD_TREE NEW_TREE --workload W [--workload W ...]
-        --pairs N --label LABEL [--seconds 34] [--seed 0] [--parent NAME]
-        [--claim W:METRIC] [--out DIR]
+        --pairs N --label LABEL [--seed 0] [--parent NAME] [--claim W:METRIC]
 
 For each workload in turn, pair k runs
 
     python3 bench/run.py --workload W --seed SEED+k --seconds S --trace 0
 
-once in each tree, each tree with its own bench/ and src/. OLD_TREE runs
+once in each tree, each tree with its own bench/ and src/, for the
+run_seconds S that NEW_TREE's BENCHMARK.json sets. OLD_TREE runs
 first in even pairs and NEW_TREE in odd ones, so a drift of the machine's
 speed does not favour one side. Each side's end-to-end metrics and its
 failed checks are recorded per pair, in the order the pairs ran. The
@@ -16,9 +16,8 @@ summary of each metric gives both sides' median and quartiles and the
 pairs in which NEW_TREE is better and worse, by the direction that
 NEW_TREE's BENCHMARK.json declares. --claim W:METRIC adds one sentence
 that states the claim on that metric with the parent's interquartile
-range. The file goes to DIR (default: the current directory), in the
-layout of the committed BENCH_*.json files. Exits 1 if any run fails or
-fails a check.
+range. The file goes to the current directory, in the layout of the
+committed BENCH_*.json files. Exits 1 if any run fails or fails a check.
 """
 
 import argparse
@@ -36,11 +35,9 @@ def parse_args(argv):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=34.0)
     parser.add_argument("--seed", type=int, default=0, help="the seed of the first pair; pair k uses SEED + k")
     parser.add_argument("--parent", help="how to name OLD_TREE in the file (default: its git sha, if any)")
     parser.add_argument("--claim", action="append", default=[], metavar="W:METRIC")
-    parser.add_argument("--out", default=".")
     return parser.parse_args(argv)
 
 
@@ -101,9 +98,11 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     trees = {"parent": os.path.abspath(args.old_tree), "change": os.path.abspath(args.new_tree)}
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        benchmark = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     out = {
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "method": ("alternating pairs: within each workload the side that runs first alternates from pair to "
                    "pair (see each pair's 'first'); each side runs from its own copy of its source tree; pairs "
                    "are listed in the order they ran"),
@@ -119,7 +118,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side], out["environment"][side] = run_side(trees[side], workload, seed, args.seconds)
+                pair[side], out["environment"][side] = run_side(trees[side], workload, seed, seconds)
                 failed |= not pair[side]["failed_checks"].startswith("0 of ")
             pairs.append(pair)
             print(f"{workload} pair {k + 1}/{args.pairs}: "
@@ -137,7 +136,7 @@ def main(argv=None) -> int:
         claims.append(claim_sentence(workload, name, out["workloads"][workload], metrics[name]))
     if claims:
         out["claim"] = "; ".join(claims)
-    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    path = f"BENCH_{args.label}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
