@@ -10,6 +10,7 @@ from ricemele import ChainSpec, EvolutionConfig, PumpProtocol
 from ricemele.evolution import evolve, initial_dimer_state, transfer_efficiency
 from ricemele.model import TWO_PI
 from ricemele.protocols import classify_regime, sample_trajectory, winding_number
+from ricemele.spectrum import target_cell
 
 
 def main():
@@ -40,8 +41,9 @@ def main():
         row = "  ".join(f"{p:6.3f}" for p in table[i])
         print(f"  {record.times[i] / protocol.period:4.2f}  {row}")
 
-    print(f"\ntransfer efficiency into the last cell: "
-          f"{transfer_efficiency(record):.3f}")
+    target = target_cell(chain, 1, "lower", protocol.n_cycles)
+    print(f"\ntransfer efficiency into cell {target}, {protocol.n_cycles} cells on: "
+          f"{transfer_efficiency(record, target):.3f}")
     print("one cell of transport per cycle is the topological fingerprint;"
           " lower it by shrinking the period and dispersion takes over.")
 

@@ -15,6 +15,14 @@ The state is carried in each exponent's eigenbasis: one exponential
 multiplies its coefficients by the overlap of consecutive eigenbases
 times the exponent's phases, one small complex matrix-vector product.
 
+Every exponent is a chain Hamiltonian: +d on the odd sites, -d on the
+even ones, and bonds that join an odd site to an even one only (Rice &
+Mele, PRL 49, 1455 (1982)). So H^2 is block-diagonal on the two
+sublattices, and _chain_eigh builds every eigenpair of H from one eigh of
+the odd-site block of (N + 1) // 2 rows and a QR of the bonds mapped onto
+it, in place of an eigh of all N rows. Generic Hermitian stacks, as in the
+tests, map np.linalg.eigh instead; both give _eigen_chunks (w, v) stacks.
+
 The overlaps depend on the exponents alone, so they are computed as the
 exponents are decomposed. Runs that share a decomposition, the periods of
 a scan inside shared_decompositions(), hold its eigenvalues and overlaps
@@ -49,8 +57,8 @@ MAX_STEPS = 2**20
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
-# overlaps of a chunk in _eigen_chunks, half its step matrices in
-# _propagate. A bound on the memory a run takes beyond what it holds, large
+# overlaps of a chunk in _eigen_chunks (its odd-site blocks and their QR
+# factors take a quarter each), half its step matrices in _propagate. A bound on the memory a run takes beyond what it holds, large
 # enough that the stacked eigh and matmul calls amortise their call cost.
 _CHUNK_BYTES = 2**20
 
@@ -114,7 +122,7 @@ class PulseSpec:
 
 def _propagate(chunks, count, dt, psi0, store):
     """Shared stepping core: apply exp(-i h[k] dt) for each of the count
-    Hermitian matrices that _eigen_chunks decomposed, in turn.
+    Hermitian matrices whose decompositions _eigen_chunks holds, in turn.
 
     The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
@@ -189,9 +197,51 @@ def shared_decompositions():
         _shared.reset(token)
 
 
-def _eigen_chunks(stacks, count, store):
-    """Eigendecompose count Hermitian matrices, given as consecutive stacks,
-    into what _propagate steps with: per stack, (w, overlaps, first, bases).
+def _chain_eigh(h):
+    """Eigenvalues and eigenvectors (w, v) of a stack of chain Hamiltonians
+    as build_hamiltonians makes them, shape (M, N, N), through the odd-site
+    block of H^2; w is not sorted.
+
+    On the odd sites 1, 3, ... H is d = h[:, 0, 0], on the even sites -d,
+    and every bond joins an odd site to an even one, through Q =
+    h[:, 0::2, 1::2]. So H^2 is block-diagonal: d^2 + Q Q^T on the odd
+    sites, d^2 + Q^T Q on the even ones. One eigh of the odd block, with
+    its columns u_i in descending order, and a QR of Q^T u_i = R_ii v_i
+    over its first N // 2 columns give pairs (u_i, v_i) on which H is the
+    2x2 block [[d, R_ii], [R_ii, -d]]: eigenvalues -+hypot(d, R_ii),
+    eigenvectors from the half-angle atan2(R_ii, d) / 2. An odd-site
+    column left over (odd N) is an eigenvector of eigenvalue d.
+    """
+    m, n = h.shape[:2]
+    pairs = n // 2
+    d, q = h[:, 0, 0].copy(), h[:, 0::2, 1::2].copy()
+    del h  # frees the stack where the caller holds no other reference, as in _cf4_decomposition
+    block = q @ q.swapaxes(1, 2)
+    block.reshape(m, -1)[:, ::block.shape[1] + 1] += (d * d)[:, None]  # d^2 on the diagonal
+    u = np.linalg.eigh(block)[1][:, :, ::-1]  # descending, so the QR meets the largest R_ii first
+    del block
+    even, r = np.linalg.qr(q.swapaxes(1, 2) @ u[:, :, :pairs])
+    del q
+    r = np.diagonal(r, axis1=1, axis2=2)
+    half = 0.5 * np.arctan2(r, d[:, None])
+    cos, sin = np.cos(half)[:, None, :], np.sin(half)[:, None, :]
+    v = np.zeros((m, n, n))
+    np.multiply(u[:, :, :pairs], -sin, out=v[:, 0::2, :pairs])
+    np.multiply(even, cos, out=v[:, 1::2, :pairs])
+    np.multiply(u[:, :, :pairs], cos, out=v[:, 0::2, pairs:2 * pairs])
+    np.multiply(even, sin, out=v[:, 1::2, pairs:2 * pairs])
+    v[:, 0::2, 2 * pairs:] = u[:, :, pairs:]
+    radius = np.hypot(d[:, None], r)
+    w = np.concatenate([-radius, radius, np.repeat(d[:, None], n - 2 * pairs, axis=1)], axis=1)
+    return w, v
+
+
+def _eigen_chunks(decompositions, count, store):
+    """Turn the eigendecompositions (w, v) of count Hermitian matrices,
+    given as consecutive stacks, into what _propagate steps with: per
+    stack, (w, overlaps, first, bases). The CF4 exponents come from
+    _chain_eigh, in no order of eigenvalue; a generic stack from
+    np.linalg.eigh. The overlaps absorb the order.
 
     w holds the stack's eigenvalues and overlaps the v_k^H v_(k-1) of its
     matrices k > 0, the first of a later stack taken against the last
@@ -202,7 +252,7 @@ def _eigen_chunks(stacks, count, store):
     eigenvectors alive. No stack may be longer than the first.
     """
     start, previous = 0, None
-    for w, v in map(np.linalg.eigh, stacks):  # each stack is dropped once decomposed
+    for w, v in decompositions:  # each stack is dropped once its chunk is made
         vh = (v.conj() if np.iscomplexobj(v) else v).swapaxes(1, 2)
         if previous is None:
             overlaps, first = vh[1:] @ v[:-1], v[0].copy()
@@ -226,9 +276,11 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store):
 
     couplings maps an array of times to (J1, J2, delta) arrays of its
     shape. H is linear in them, so each exponent is the Hamiltonian of the
-    weighted couplings at the step's two Gauss nodes. The Hamiltonians are
-    built and decomposed a chunk of _CHUNK_BYTES at a time, so no full
-    stack of them exists; eigh decomposes each matrix on its own, so the
+    weighted couplings at the step's two Gauss nodes, and a chain
+    Hamiltonian, which _chain_eigh decomposes through its odd-site block
+    of H^2. The Hamiltonians are built and decomposed a chunk of
+    _CHUNK_BYTES at a time, so no full stack of them exists; every eigh,
+    QR and product in _chain_eigh works on each matrix on its own, so the
     chunking does not change a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
@@ -236,9 +288,9 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store):
                 for c in couplings(nodes)]
     n = spec.n_sites
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
-    stacks = (build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted))
-              for start in range(0, 2 * n_steps, chunk))
-    return _eigen_chunks(stacks, 2 * n_steps, store)
+    decompositions = (_chain_eigh(build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted)))
+                      for start in range(0, 2 * n_steps, chunk))
+    return _eigen_chunks(decompositions, 2 * n_steps, store)
 
 
 def _checked_state(psi0, n_sites: int) -> np.ndarray:
@@ -342,7 +394,11 @@ def cell_populations(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
 
 
 def transfer_efficiency(record: EvolutionRecord, destination_cell: int | None = None) -> float:
-    """Population of a destination cell (default: the last) at the final time over total population."""
+    """Population of a destination cell at the final time over total population.
+
+    The default is the last cell, whichever way the pump moves; pass
+    spectrum.target_cell to score the cell the pump moves the state to.
+    """
     spec = record.spec
     cell = spec.n_cells if destination_cell is None else destination_cell
     if not 1 <= cell <= spec.n_cells:

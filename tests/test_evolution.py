@@ -37,7 +37,8 @@ def start_state(chain=CHAIN, proto=PROTO, cell=1, branch="lower"):
 def propagate(hs, dt, psi, store=False):
     """exp(-i h dt) for each Hermitian h of the stack hs in turn, applied to
     psi by the stepping core: the final state and, with store, the states."""
-    out = evolution._propagate(evolution._eigen_chunks([hs], len(hs), store), len(hs), dt, psi, store)
+    out = evolution._propagate(evolution._eigen_chunks(map(np.linalg.eigh, [hs]), len(hs), store), len(hs), dt,
+                               psi, store)
     return out if store else out[0]
 
 
@@ -123,6 +124,39 @@ def test_stirap_eigenbasis_stepping_matches_site_basis_loop():
     np.testing.assert_allclose(record.states, expected, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_shortest_chains_match_site_basis_loop(n_sites):
+    """N = 1 has no even site, so its decomposition is the odd-site block
+    alone, with no QR; N = 2 is a single pair."""
+    chain, proto = ChainSpec(n_sites), replace(PROTO, delta_offset=TWO_PI * 2.0)
+    psi0 = np.eye(n_sites, dtype=complex)[0]
+    record = evolve(chain, proto, psi0)
+    exponents = cf4_exponents(chain, lambda t: sample_trajectory(proto, t), 2 * 512, proto.duration)
+    np.testing.assert_allclose(record.states, site_basis_states(exponents, record.dt, psi0), rtol=0, atol=1e-13)
+    if n_sites == 1:  # the sin term of delta sums to zero over whole cycles at the mirrored Gauss nodes
+        assert record.final_state[0] == pytest.approx(np.exp(-1j * proto.delta_offset * proto.duration), abs=1e-12)
+
+
+couplings = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_sites=st.integers(1, 12), parity=st.sampled_from([1, -1]),
+       points=st.lists(st.tuples(couplings, couplings, st.booleans(), st.floats(0.0, 20.0)), min_size=1, max_size=6))
+def test_chain_eigh_matches_eigh(n_sites, parity, points):
+    """The odd-site-block decomposition of a chain stack against LAPACK's
+    eigh: J1, J2 with exact zeros and J1 = J2 among the draws, and delta up
+    to 20 times the larger coupling."""
+    j1, j2, equal, ratio = (np.array(x) for x in zip(*points))
+    j2 = np.where(equal, j1, j2)
+    h = build_hamiltonians(ChainSpec(n_sites, parity), j1, j2, ratio * np.maximum(j1, j2))
+    w, v = evolution._chain_eigh(h.copy())
+    bound = 32 * np.finfo(float).eps * np.linalg.norm(h, 2, axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(v @ (w[:, :, None] * v.swapaxes(1, 2)) - h) <= bound)
+    assert np.abs(v.swapaxes(1, 2) @ v - np.eye(n_sites)).max() <= 1e-14
+    assert np.all(np.abs(np.sort(w, axis=1) - np.linalg.eigvalsh(h)) <= bound[:, :, 0])
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 25 * 7])
 def test_chunk_size_does_not_change_any_state(monkeypatch, chunk_bytes):
     cfgs = [EvolutionConfig(dt=PROTO.period / 1000, store_states=store) for store in (True, False)]
@@ -134,26 +168,25 @@ def test_chunk_size_does_not_change_any_state(monkeypatch, chunk_bytes):
 
 
 def whole_stack_decomposition(chain, couplings, n_steps, span):
-    """eigh of every CF4 exponent built at once, one build_hamiltonians call
-    on the weighted couplings at the Gauss nodes."""
+    """_chain_eigh of every CF4 exponent built at once, one build_hamiltonians
+    call on the weighted couplings at the Gauss nodes."""
     root = np.sqrt(3.0) / 6.0
     a1, a2 = 0.25 + root, 0.25 - root
     nodes = (np.arange(n_steps)[:, None] + 0.5 + np.array([-root, root])) * (span / n_steps)
     weighted = (np.stack([a1 * c[:, 0] + a2 * c[:, 1], a2 * c[:, 0] + a1 * c[:, 1]], axis=1).ravel()
                 for c in couplings(nodes))
-    return np.linalg.eigh(build_hamiltonians(chain, *weighted))
+    return evolution._chain_eigh(build_hamiltonians(chain, *weighted))
 
 
 @pytest.mark.parametrize("n_sites", [5, 30])
 def test_chunked_decomposition_equals_whole_stack_eigh(monkeypatch, n_sites):
     chain, couplings = ChainSpec(n_sites), lambda t: sample_trajectory(PROTO, t)
-    expected = whole_stack_decomposition(chain, couplings, 100, PROTO.duration)
-    v = expected.eigenvectors
+    expected, v = whole_stack_decomposition(chain, couplings, 100, PROTO.duration)
     # 3 exponents per chunk: chunks split steps' M1, M2 pairs, and 200 = 66 * 3 + 2 ends short
     monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 8 * n_sites**2)
     for store in (True, False):
         w, overlaps, first, bases = zip(*evolution._cf4_decomposition(chain, couplings, 100, PROTO.duration, store))
-        assert np.array_equal(np.concatenate(w), expected.eigenvalues) and np.array_equal(first[0], v[0])
+        assert np.array_equal(np.concatenate(w), expected) and np.array_equal(first[0], v[0])
         assert all(f is None for f in first[1:])
         assert np.array_equal(np.concatenate(overlaps), v[1:].conj().swapaxes(1, 2) @ v[:-1])
         assert np.array_equal(np.concatenate(bases), v[1::2] if store else v[-1:])
@@ -267,8 +300,8 @@ def test_evolve_requires_normalized_matching_state(eigh_matrices, run, n_sites):
         run(np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError, match="psi0 length must match n_sites"):
         run(np.ones(n_sites + 1, dtype=complex) / np.sqrt(n_sites + 1))
-    # refused before anything is decomposed
-    assert eigh_matrices(n_sites) == 0
+    # refused before anything is decomposed, through odd-site blocks of (N + 1) // 2 rows
+    assert eigh_matrices((n_sites + 1) // 2) == 0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -493,7 +526,7 @@ def test_stirap_intuitive_order_fails_to_transfer_cleanly():
 def test_stirap_refuses_a_duration_that_is_not_positive_and_finite(eigh_matrices, duration):
     with pytest.raises(ValueError, match=f"duration must be positive and finite, got {duration!r}"):
         stirap_sequence(PulseSpec(1.0, 1.0, 1.0), PulseSpec(1.0, 2.0, 1.0, bond=2), duration)
-    assert eigh_matrices(3) == 0
+    assert eigh_matrices(2) == 0  # the odd-site block of the three-site chain
 
 
 def test_stirap_rejects_bad_bond():

@@ -464,8 +464,9 @@ def test_ripple_frequency_tracks_delta0_not_coupling():
 def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
     spec = mean_position_spec()
     result = run_sweep(spec)
-    # 2 cycles at 512 CF4 steps per cycle, two exponents a step, once for the 3 periods, not 3 times
-    assert eigh_matrices(6) == 2048
+    # 2 cycles at 512 CF4 steps per cycle, two exponents a step, once for the 3 periods, not 3 times;
+    # each exponent is decomposed through its odd-site block of 3 rows
+    assert eigh_matrices(3) == 2048
     for row, period in zip(result.values, spec.axes["period"]):
         proto = replace(spec.protocol, period=float(period))
         assert tuple(row) == mean_position_reference(spec.chain, proto, spec.start_cell, None)
@@ -473,9 +474,9 @@ def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
 
 def test_each_sweep_decomposes_afresh(eigh_matrices):
     first = run_sweep(mean_position_spec())
-    assert eigh_matrices(6) == 2048
+    assert eigh_matrices(3) == 2048
     second = run_sweep(mean_position_spec())
-    assert eigh_matrices(6) == 2 * 2048
+    assert eigh_matrices(3) == 2 * 2048
     assert np.array_equal(first.values, second.values)
 
 
@@ -486,7 +487,7 @@ def test_grid_points_sharing_a_schedule_share_decompositions(eigh_matrices):
     spec = SweepSpec("period_delta", CHAIN, PROTO,
                      {"period": np.array([0.4, 0.6]), "delta0": np.array([TWO_PI * 5.0, TWO_PI * 6.0])})
     result = run_sweep(spec)
-    assert eigh_matrices(5) == 2 * 1024  # two delta0 values, 512 steps of two exponents each
+    assert eigh_matrices(3) == 2 * 1024  # two delta0 values, 512 steps of two exponents each
     expected = [transport_efficiency(CHAIN, replace(PROTO, period=p, delta0=d))
                 for p in (0.4, 0.6) for d in (TWO_PI * 5.0, TWO_PI * 6.0)]
     assert np.array_equal(result.values[:, 0], expected)
@@ -495,12 +496,12 @@ def test_grid_points_sharing_a_schedule_share_decompositions(eigh_matrices):
 def test_protocol_compare_decomposes_each_kind_once(eigh_matrices):
     spec = replace(compare_spec(), dt=None)
     run_sweep(spec)
-    assert eigh_matrices(5) == 2 * 1024  # one run per protocol kind, for all three periods
+    assert eigh_matrices(3) == 2 * 1024  # one run per protocol kind, for all three periods
 
 
 def test_efficiency_vs_period_decomposes_once_per_call(eigh_matrices):
     periods = np.array([0.4, 0.5, 0.7])
     first = efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=256)
-    assert eigh_matrices(5) == 512  # 256 steps of two exponents each
+    assert eigh_matrices(3) == 512  # 256 steps of two exponents each
     assert np.array_equal(efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=256), first)
-    assert eigh_matrices(5) == 2 * 512
+    assert eigh_matrices(3) == 2 * 512

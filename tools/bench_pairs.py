@@ -10,8 +10,13 @@ For each workload in turn, pair k runs
 once in each tree, each tree with its own bench/ and src/, for the
 run_seconds S that NEW_TREE's BENCHMARK.json sets. OLD_TREE runs
 first in even pairs and NEW_TREE in odd ones, so a drift of the machine's
-speed does not favour one side. Each side's end-to-end metrics and its
-failed checks are recorded per pair, in the order the pairs ran. The
+speed does not favour one side. Each side's end-to-end metrics, its
+failed checks and the median wall time of its gauge bursts (the fixed
+kernel bench/run.py times around every run) are recorded per pair, in
+the order the pairs ran. The gauge should read the same on both sides
+of a pair; a pair whose two burst medians differ by more than
+GAUGE_SPREAD (25%) ran under a changing load: it is printed as it runs
+and listed by seed under "gauge_flagged", but kept in the summary. The
 summary of each metric gives both sides' median and quartiles and the
 pairs in which NEW_TREE is better and worse, by the direction that
 NEW_TREE's BENCHMARK.json declares. --claim W:METRIC adds one sentence
@@ -23,9 +28,13 @@ committed BENCH_*.json files. Exits 1 if any run fails or fails a check.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+
+# Largest relative difference of the two sides' gauge burst medians in a pair that is not flagged.
+GAUGE_SPREAD = 0.25
 
 
 def parse_args(argv):
@@ -53,7 +62,14 @@ def run_side(tree, workload, seed, seconds):
     environment = next(json.loads(line.partition(" ")[2]) for line in lines if line.startswith("environment "))
     side = {name: metric["value"] for name, metric in result["metrics"].items()}
     side["failed_checks"] = f"{result['failed']} of {result['attempted']}"
+    side["gauge_burst_s"] = float(re.search(r"gauge burst wall_s median (\S+)", done.stdout).group(1))
     return side, environment
+
+
+def gauge_disagrees(pair):
+    """Whether the two sides' gauge burst medians differ by more than GAUGE_SPREAD of the smaller."""
+    bursts = pair["parent"]["gauge_burst_s"], pair["change"]["gauge_burst_s"]
+    return max(bursts) > (1.0 + GAUGE_SPREAD) * min(bursts)
 
 
 def quartiles(values):
@@ -121,10 +137,12 @@ def main(argv=None) -> int:
                 pair[side], out["environment"][side] = run_side(trees[side], workload, seed, seconds)
                 failed |= not pair[side]["failed_checks"].startswith("0 of ")
             pairs.append(pair)
+            flag = f" (gauge bursts differ by more than {GAUGE_SPREAD:.0%})" if gauge_disagrees(pair) else ""
             print(f"{workload} pair {k + 1}/{args.pairs}: "
-                  + ", ".join(f"{side} wall_norm {pair[side]['wall_norm']:.4f}" for side in order), flush=True)
+                  + ", ".join(f"{side} wall_norm {pair[side]['wall_norm']:.4f}" for side in order) + flag, flush=True)
         out["workloads"][workload] = {
             "pairs": pairs,
+            "gauge_flagged": [pair["seed"] for pair in pairs if gauge_disagrees(pair)],
             "summary": summarize(pairs, metrics),
             "failed_checks": {side: f"{sum(int(p[side]['failed_checks'].split()[0]) for p in pairs)} of "
                                     f"{sum(int(p[side]['failed_checks'].split()[-1]) for p in pairs)}"
