@@ -58,8 +58,10 @@ _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
 # overlaps of a chunk in _eigen_chunks (its odd-site blocks and their QR
-# factors take a quarter each), half its step matrices in _propagate. A bound on the memory a run takes beyond what it holds, large
-# enough that the stacked eigh and matmul calls amortise their call cost.
+# factors take a quarter as much each), half its step matrices in
+# _propagate. A bound on the memory a run takes beyond what it holds, large
+# enough that the stacked eigh, QR and matmul calls amortise their call
+# cost.
 _CHUNK_BYTES = 2**20
 
 
