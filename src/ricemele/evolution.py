@@ -375,8 +375,8 @@ def initial_dimer_state(
             [-point.j1, point.delta * signs[b - 1]],
         ]
     )
-    w, v = np.linalg.eigh(block)
-    vec = v[:, 0] if branch == "lower" else v[:, 1]
+    _, v = _chain_eigh(block[None])  # a two-site chain: eigenvalues -r, then +r
+    vec = v[0, :, 0] if branch == "lower" else v[0, :, 1]
     # fix the sign gauge so the first-site amplitude is non-negative
     if vec[0] < 0:
         vec = -vec
