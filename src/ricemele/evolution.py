@@ -23,12 +23,17 @@ the odd-site block of (N + 1) // 2 rows and a QR of the bonds mapped onto
 it, in place of an eigh of all N rows. Generic Hermitian stacks, as in the
 tests, map np.linalg.eigh instead; both give _eigen_chunks (w, v) stacks.
 
-The overlaps depend on the exponents alone, so they are computed as the
-exponents are decomposed. Runs that share a decomposition, the periods of
-a scan inside shared_decompositions(), hold its eigenvalues and overlaps
-and step through them at each period's dt. A run that no other run
-shares steps each chunk of exponents as soon as it is decomposed, so it
-holds one chunk at a time.
+The pump is periodic in the cycle phase (Thouless, PRB 27, 6083 (1983)),
+so the steps of a run repeat every G = n_steps // gcd(n_steps, n_cycles)
+steps, one cycle where the steps tile a cycle: evolve decomposes the
+exponents of one grid of G steps and walks it gcd(n_steps, n_cycles)
+times. The overlaps depend on the exponents alone, so they are computed
+as the exponents are decomposed. Runs that share a decomposition, the
+periods of a scan inside shared_decompositions(), hold the eigenvalues
+and overlaps of one grid and step through them at each period's dt, once
+per pass. A run that no other run shares steps each chunk of exponents
+as soon as it is decomposed, and decomposes the grid again for each
+pass, so it holds one chunk at a time; both give the same bits.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import partial
+import itertools
+import math
 
 import numpy as np
 
@@ -44,13 +51,13 @@ from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 512
-# Most steps one run may take. A shared run of K steps on N sites holds the
-# eigenvalues and the overlaps of its 2K exponents, 8 * 2K * N**2 bytes
-# (and its K odd eigenbases, half as much again, if it stores states); a
-# run that nothing shares holds one chunk of _CHUNK_BYTES at a time besides
-# its output. A larger run is refused before anything is allocated, as at
-# 2**21 exponents a shared decomposition alone would take gigabytes. No
-# test, demo or benchmark run takes more than 262,145 steps.
+# Most steps one run may take. A shared run on N sites holds the eigenvalues
+# and the overlaps of the 2G exponents of its grid of G steps (see evolve),
+# 8 * 2G * N**2 bytes (and its G odd eigenbases, half as much again, if it
+# stores states); a run that nothing shares holds one chunk of _CHUNK_BYTES
+# at a time besides its output. A larger run is refused before anything is
+# allocated, as at 2**21 exponents a shared decomposition alone would take
+# gigabytes. No test, demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**20
 # CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
 # exponent weights a1, a2 (see the module docstring).
@@ -135,21 +142,36 @@ def _propagate(chunks, count, dt, psi0, store):
     carry the overlaps v_k^H v_(k-1); each chunk's phases are multiplied
     into them in one reused buffer. chunks may be a list, shared by runs at
     any dt, or a generator, decomposed as it is stepped.
+    chunks may also walk one grid of matrices several times, as evolve
+    walks the grid of a cycle: each pass starts with a chunk whose first
+    is set, and the state re-enters the grid through the site basis,
+    c <- p_0 * (v_0^H (v_last c)), from the last eigenbasis of the pass
+    before, which its last chunk keeps (its index is odd).
     Returns the final state psi_(count-1) and, with store, psi0 followed by
     every second psi_k (psi_1, psi_3, ...): the states after whole CF4
     steps, count // 2 + 1 states. store needs an even count, as CF4 gives.
     """
     states = np.empty((count // 2 + 1, len(psi0)), dtype=complex) if store else None
-    k = row = 1  # the index of the next matrix, and of the next stored state
+    # the index of the next matrix and of the next stored state, the coefficients, the last basis left through
+    k, row, c, final = 0, 1, None, None
     for w, overlaps, first, bases in chunks:
-        if first is not None:  # matrix 0, entered from the site basis
-            c = np.exp(-1j * w[0] * dt) * (first.conj().T @ psi0)
-            steps = np.empty((len(w),) + first.shape, dtype=complex)  # the A_k of every chunk in turn
-            w, final = w[1:], None
-        for j, a in enumerate(np.multiply(np.exp(-1j * w[:, :, None] * dt), overlaps, out=steps[:len(w)]), k):
-            c = a.dot(c)  # the bits of a @ c, with less overhead per call
-            if store and j % 2:
-                states[j // 2 + 1] = c
+        if first is not None:  # matrix 0 of a grid, entered from the site basis
+            if c is None:
+                psi = psi0
+                steps = np.empty((len(w),) + first.shape, dtype=complex)  # the A_k of every chunk in turn
+            else:  # a later pass: leave the eigenbasis the last pass ended in
+                psi = final @ c
+            c = np.exp(-1j * w[0] * dt) * (first.conj().T @ psi)
+            w, k = w[1:], k + 1
+        products = np.multiply(np.exp(-1j * w[:, :, None] * dt), overlaps, out=steps[:len(w)])
+        if store:
+            for j, a in enumerate(products, k):
+                c = a.dot(c)  # the bits of a @ c, with less overhead per call
+                if j % 2:
+                    states[j // 2 + 1] = c
+        else:  # the same products without the store bookkeeping, which sweep points never need
+            for a in products:
+                c = a.dot(c)
         k += len(w)
         if store:  # leave the eigenbasis at this chunk's odd matrices
             done = slice(row, row + len(bases))
@@ -188,10 +210,12 @@ _shared = ContextVar("shared_decompositions", default=None)
 
 @contextmanager
 def shared_decompositions():
-    """Inside the block, evolve decomposes each (schedule key, store_states)
-    once and reuses it; every decomposition is dropped when the block ends.
-    Runs of one key that differ in store_states decompose its matrices
-    once each, since they keep different eigenbases."""
+    """Inside the block, evolve decomposes the grid of steps of each
+    (schedule key, store_states), one cycle where the steps tile a cycle,
+    once, and walks it for every pass of every run of that key; every
+    decomposition is dropped when the block ends. Runs of one key that
+    differ in store_states decompose its matrices once each, since they
+    keep different eigenbases."""
     token = _shared.set({})
     try:
         yield
@@ -213,6 +237,12 @@ def _chain_eigh(h):
     2x2 block [[d, R_ii], [R_ii, -d]]: eigenvalues -+hypot(d, R_ii),
     eigenvectors from the half-angle atan2(R_ii, d) / 2. An odd-site
     column left over (odd N) is an eigenvector of eigenvalue d.
+
+    The odd block carries d^2, so where |d| far exceeds both couplings the
+    backward error grows like eps |H|^2 / sigma, sigma the second-smallest
+    singular value of Q: at N = 10, J1 = J2 = 0.0017 and d = -13.1 it
+    reached 1,100 eps |H|, against 9.4 eps |H| for np.linalg.eigh. On the
+    pump stacks of the shipped protocols it stays at or below 18 eps |H|.
     """
     m, n = h.shape[:2]
     pairs = n // 2
@@ -286,8 +316,8 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store):
     chunking does not change a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
-    weighted = [np.stack([_A1 * c[:, 0] + _A2 * c[:, 1], _A2 * c[:, 0] + _A1 * c[:, 1]], axis=1).ravel()
-                for c in couplings(nodes)]
+    c = np.asarray(couplings(nodes))  # (J1, J2, delta) at both nodes of every step
+    weighted = np.stack([_A1 * c[..., 0] + _A2 * c[..., 1], _A2 * c[..., 0] + _A1 * c[..., 1]], axis=-1).reshape(3, -1)
     n = spec.n_sites
     chunk = max(1, _CHUNK_BYTES // (8 * n * n))
     decompositions = (_chain_eigh(build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted)))
@@ -316,21 +346,26 @@ def evolve(
     The Gauss nodes of step j sit at cycle phases (j + 1/2 -+ sqrt(3)/6)
     n_cycles / n_steps, times the period, so runs at different periods with
     the same step count decompose the same matrices, once per schedule key
-    inside shared_decompositions().
+    inside shared_decompositions(). The pump repeats every cycle, so the
+    nodes repeat every G = n_steps // gcd(n_steps, n_cycles) steps: the
+    exponents of the first G steps are decomposed and walked
+    gcd(n_steps, n_cycles) times. A later pass thus takes the first pass's
+    node phases, not those plus whole cycles, which differ in the last bits.
     """
     psi0 = _checked_state(psi0, spec.n_sites)
     key = schedule_key(spec, protocol, cfg.dt)
     _, unit, n_steps = key
-    decompose = partial(_cf4_decomposition, spec, partial(sample_trajectory, unit), n_steps, unit.n_cycles,
-                        cfg.store_states)
+    passes = math.gcd(n_steps, unit.n_cycles)  # the steps repeat every n_steps // passes
+    decompose = partial(_cf4_decomposition, spec, partial(sample_trajectory, unit), n_steps // passes,
+                        unit.n_cycles // passes, cfg.store_states)
     shared = _shared.get()
-    if shared is None:  # outside shared_decompositions(): stepped as it is decomposed
-        chunks = decompose()
-    else:  # held for every run of its key, and of its store_states, in the block
+    if shared is None:  # outside shared_decompositions(): each pass stepped as it is decomposed
+        chunks = itertools.chain.from_iterable(decompose() for _ in range(passes))
+    else:  # one grid held for every run of its key, and of its store_states, in the block
         held = (key, cfg.store_states)
         if held not in shared:
             shared[held] = list(decompose())
-        chunks = shared[held]
+        chunks = itertools.chain.from_iterable(itertools.repeat(shared[held], passes))
     return _record(spec, chunks, n_steps, protocol.duration, psi0, cfg.store_states, protocol)
 
 

@@ -97,21 +97,19 @@ def build_hamiltonian(spec: ChainSpec, point: ParameterPoint) -> np.ndarray:
 
 
 def build_hamiltonians(spec: ChainSpec, j1, j2, delta) -> np.ndarray:
-    """Stack of Hamiltonians for arrays of trajectory samples, shape (M, N, N)."""
-    j1 = np.atleast_1d(np.asarray(j1, dtype=float))
-    j2 = np.atleast_1d(np.asarray(j2, dtype=float))
-    delta = np.atleast_1d(np.asarray(delta, dtype=float))
-    m = max(j1.size, j2.size, delta.size)
-    j1, j2, delta = (np.broadcast_to(a, (m,)) for a in (j1, j2, delta))
-    n = spec.n_sites
+    """Stack of Hamiltonians for arrays of trajectory samples, shape (M, N, N).
+
+    Each matrix is written through strided slices of its flattened rows,
+    where element (i, j) sits at i * N + j: the diagonal is every (N + 1)-th
+    element from 0, the bonds above it every (N + 1)-th from 1 and those
+    below it every (N + 1)-th from N.
+    """
+    j1, j2, delta = (np.atleast_1d(np.asarray(a, dtype=float))[:, None] for a in (j1, j2, delta))
+    m, n = max(j1.size, j2.size, delta.size), spec.n_sites
     h = np.zeros((m, n, n))
-    idx = np.arange(n)
-    h[:, idx, idx] = delta[:, None] * spec.site_signs()[None, :]
-    if n > 1:
-        intra = spec.intra_bonds()
-        off = np.where(intra[None, :], -j1[:, None], -j2[:, None])
-        h[:, idx[:-1], idx[1:]] = off
-        h[:, idx[1:], idx[:-1]] = off
+    flat = h.reshape(m, n * n)
+    flat[:, ::n + 1] = delta * spec.site_signs()
+    flat[:, 1::n + 1] = flat[:, n::n + 1] = np.where(spec.intra_bonds(), -j1, -j2)
     return h
 
 

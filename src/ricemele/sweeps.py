@@ -12,6 +12,7 @@ count.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from functools import partial
 import itertools
@@ -136,8 +137,9 @@ class SweepResult:
 
 def _run_group(tasks):
     """Evaluate (callable, args) pairs that share a Hamiltonian schedule,
-    decomposing it once."""
-    with evolution.shared_decompositions():
+    decomposing it once. A lone task has nothing to share, so its runs
+    stream their exponents as a direct evolve call does."""
+    with evolution.shared_decompositions() if len(tasks) > 1 else contextlib.nullcontext():
         return [fn(*args) for fn, args in tasks]
 
 

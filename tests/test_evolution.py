@@ -1,5 +1,6 @@
 """Propagator accuracy, state preparation, observables, and STIRAP."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -247,13 +248,15 @@ def test_step_reversal_recovers_state(n, n_matrices, dt, complex_h, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(n_sites=st.integers(2, 12), steps=st.integers(1, 300), periods=st.lists(st.floats(0.2, 5.0), min_size=2,
-       max_size=2), store=st.booleans(), chunk_matrices=st.integers(1, 40))
-def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, store, chunk_matrices):
+       max_size=2), n_cycles=st.integers(1, 4), store=st.booleans(), chunk_matrices=st.integers(1, 40))
+def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, n_cycles, store, chunk_matrices):
     """A run at T2 that steps through the decomposition a run at T1 left
     inside shared_decompositions() equals a run at T2 that nothing shares,
-    stepped as it is decomposed."""
+    stepped as it is decomposed: the shared run walks one held grid of
+    steps once per pass, the streamed one decomposes it again each pass,
+    also where the step count does not divide into the cycles."""
     chain = ChainSpec(n_sites)
-    first, second = (replace(PROTO, period=period) for period in periods)
+    first, second = (replace(PROTO, period=period, n_cycles=n_cycles) for period in periods)
     psi0 = start_state(chain, PROTO)
     cfgs = [EvolutionConfig(dt=proto.duration / steps, store_states=store) for proto in (first, second)]
     with pytest.MonkeyPatch.context() as patch:
@@ -263,6 +266,18 @@ def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, sto
             shared = evolve(chain, second, psi0, cfgs[1])
         alone = evolve(chain, second, psi0, cfgs[1])
     assert np.array_equal(shared.states, alone.states) and np.array_equal(shared.times, alone.times)
+
+
+@pytest.mark.parametrize("n_cycles, n_steps", [(1, 12), (2, 12), (3, 12), (4, 12), (2, 7), (3, 10), (4, 6)])
+def test_shared_runs_decompose_one_grid_of_steps(eigh_matrices, n_cycles, n_steps):
+    """The steps of a k-cycle run repeat every n_steps / gcd(n_steps, k)
+    steps, so the runs of one key inside shared_decompositions() decompose
+    that grid's exponents once, 2 n_steps / gcd(n_steps, k) of them."""
+    with evolution.shared_decompositions():
+        for period in (0.5, 0.8):
+            proto = replace(PROTO, period=period, n_cycles=n_cycles)
+            evolve(CHAIN, proto, start_state(), EvolutionConfig(dt=proto.duration / n_steps, store_states=False))
+    assert eigh_matrices(3) == 2 * n_steps // math.gcd(n_steps, n_cycles)
 
 
 def test_evolve_norm_drift_stays_tiny():

@@ -10,9 +10,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ricemele
-from ricemele import sweeps
+from ricemele import evolution, sweeps
 from ricemele.config import config_hash
 from ricemele.evolution import EvolutionConfig, evolve, initial_dimer_state, mean_position_and_spread
 from ricemele.model import TWO_PI, ChainSpec
@@ -257,6 +259,31 @@ def test_run_sweep_matches_point_by_point_reference(kind):
     assert np.array_equal(result.values, np.array(expected))
 
 
+# Values of each sweep axis for the jobs property test: small grids, cheap runs.
+AXIS_VALUES = {
+    "delta0": st.floats(TWO_PI * 3.0, TWO_PI * 8.0),
+    "delta_offset": st.floats(-TWO_PI * 8.0, TWO_PI * 8.0),
+    "period": st.floats(0.2, 1.0),
+    "j_max": st.floats(TWO_PI * 1.0, TWO_PI * 2.5),
+    "n_sites": st.integers(4, 8),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_jobs_do_not_change_any_sweep_value(kind, data):
+    """Serial and two-worker sweeps agree bit for bit on drawn grids of one
+    or two values per axis, at one to three cycles; each example starts
+    one pool."""
+    axes = {name: np.array(sorted(data.draw(st.lists(AXIS_VALUES[name], min_size=1, max_size=2, unique=True),
+                                            label=name)))
+            for name in sweeps._KINDS[kind][1]}
+    protocol = replace(PROTO, n_cycles=data.draw(st.integers(1, 3), label="n_cycles"))
+    spec = SweepSpec(kind, ChainSpec(6), protocol, axes, scan_grid=SCAN if kind == "topt_collapse" else (), dt=0.02)
+    assert np.array_equal(run_sweep(spec).values, run_sweep(replace(spec, jobs=2)).values)
+
+
 def test_run_sweep_names_missing_and_unexpected_axes():
     spec = SweepSpec("offset", CHAIN, PROTO, axes={"delta0": np.array([TWO_PI * 4.0]), "period": np.array([0.5])})
     with pytest.raises(ValueError, match=r"missing \['delta_offset'\], unexpected \['period'\]"):
@@ -464,9 +491,9 @@ def test_ripple_frequency_tracks_delta0_not_coupling():
 def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
     spec = mean_position_spec()
     result = run_sweep(spec)
-    # 2 cycles at 512 CF4 steps per cycle, two exponents a step, once for the 3 periods, not 3 times;
+    # one cycle of 512 CF4 steps, two exponents a step, once for both cycles of the 3 periods, not 6 times;
     # each exponent is decomposed through its odd-site block of 3 rows
-    assert eigh_matrices(3) == 2048
+    assert eigh_matrices(3) == 1024
     for row, period in zip(result.values, spec.axes["period"]):
         proto = replace(spec.protocol, period=float(period))
         assert tuple(row) == mean_position_reference(spec.chain, proto, spec.start_cell, None)
@@ -474,10 +501,24 @@ def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
 
 def test_each_sweep_decomposes_afresh(eigh_matrices):
     first = run_sweep(mean_position_spec())
-    assert eigh_matrices(3) == 2048
+    assert eigh_matrices(3) == 1024
     second = run_sweep(mean_position_spec())
-    assert eigh_matrices(3) == 2 * 2048
+    assert eigh_matrices(3) == 2 * 1024
     assert np.array_equal(first.values, second.values)
+
+
+def test_lone_sweep_group_holds_no_decomposition(eigh_matrices):
+    """A group of one run has nothing to share: it runs outside
+    shared_decompositions() and streams its exponents, one cycle's grid
+    decomposed for each of its two cycles, as a direct evolve call does."""
+    def held():
+        return evolution._shared.get()
+
+    assert sweeps._run_group([(held, ())]) == [None]
+    assert sweeps._run_group([(held, ()), (held, ())]) == [{}, {}]
+    spec = replace(mean_position_spec(), axes={"period": np.array([0.6])})
+    run_sweep(spec)
+    assert eigh_matrices(3) == 2 * 1024
 
 
 def test_grid_points_sharing_a_schedule_share_decompositions(eigh_matrices):
