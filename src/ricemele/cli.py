@@ -82,7 +82,7 @@ def _downsampled(times, rows) -> tuple:
     """About 512 evenly strided samples of a record, always with the last one."""
     stride = max(1, (len(times) - 1) // 512)
     keep = list(range(0, len(times) - 1, stride)) + [len(times) - 1]
-    return [float(times[i]) for i in keep], [[float(x) for x in rows[i]] for i in keep]
+    return _floats(times)[keep], _floats(rows)[keep]
 
 
 def _cmd_simulate(args, cfg) -> int:
@@ -167,7 +167,9 @@ _TONE_KEYS = ("sites", "carrier_mhz", "alpha_mhz_per_v2", "phase_rad", "bond", "
               "detuning_mhz")
 
 
-def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
+def _tone_from_section(entry: dict, trajectory) -> rfwave.ToneSchedule:
+    """A tone from its config entry; a pump tone ("bond") reads its envelopes
+    from trajectory, which maps times to the pump's (J1, J2, delta) arrays."""
     if not isinstance(entry, dict):
         raise TypeError(f"a tone must be a JSON object, got {entry!r}")
     refuse_unknown_keys(entry, _TONE_KEYS, "a tone")
@@ -184,12 +186,11 @@ def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
         sign = read(entry, "detuning_sign", 1.0)
 
         def rabi(t, _b=bond):
-            j1, j2, _ = sample_trajectory(protocol, np.asarray(t) % protocol.duration)
+            j1, j2, _ = trajectory(t)
             return 2.0 * (j1 if _b == 1 else j2)
 
         def detuning(t, _s=sign):
-            _, _, delta = sample_trajectory(protocol, np.asarray(t) % protocol.duration)
-            return 2.0 * _s * delta
+            return 2.0 * _s * trajectory(t)[2]
 
         return rfwave.ToneSchedule(sites, carrier, rabi, detuning, alpha, phase)
     return rfwave.ToneSchedule(sites, carrier, read(entry, "rabi_mhz", 0.0), read(entry, "detuning_mhz", 0.0),
@@ -198,11 +199,18 @@ def _tone_from_section(entry: dict, protocol) -> rfwave.ToneSchedule:
 
 def _cmd_waveform(args, cfg) -> int:
     protocol = cfgmod.resolve_protocol(cfg)
+    last = []  # (times, trajectory) of the last time array: every pump tone reads the same block
+
+    def trajectory(t):
+        if not last or last[0] is not t:
+            last[:] = t, sample_trajectory(protocol, np.asarray(t) % protocol.duration)
+        return last[1]
+
     with section(cfg, "waveform", ("tones", "duration_us", "sample_rate_per_us", "bits", "csv_dump")) as values:
         entries = values.get("tones")
         if not entries:
             raise ConfigError("waveform synth needs a non-empty waveform.tones list")
-        tones = [_tone_from_section(e, protocol) for e in entries]
+        tones = [_tone_from_section(e, trajectory) for e in entries]
         duration = read(values, "duration_us", defaults.WAVEFORM["duration"])
         buffer = rfwave.synthesize_waveform(tones, duration,
                                             read(values, "sample_rate_per_us", defaults.WAVEFORM["sample_rate"]),
@@ -301,7 +309,7 @@ def _cmd_stirap(args, cfg) -> int:
             "stokes_center_us": stokes_center, "pump_center_us": pump_center}},
         "times_us": times,
         "site_populations": site_pops,
-        "final_populations": [float(x) for x in pops[-1]],
+        "final_populations": pops[-1],
     }
     path = os.path.join(_out_dir(args), "stirap.json")
     write_json(payload, path)

@@ -3,7 +3,8 @@
 Config files are JSON. Values are read with ``read`` inside a ``section``
 block: a key with _mhz in its name is plain MHz and becomes rad/us, times
 stay us, and a bad value raises ConfigError naming its section. Every
-text output goes through ``write_lines`` or ``write_json``; which files
+text output goes through ``write_lines`` (CSV rows of floats made by
+``float_rows``) or ``write_json``; which files
 embed the resolved config is listed in cli.
 """
 
@@ -37,7 +38,7 @@ SECTIONS_READ = {"simulate": ("chain", "protocol", "evolution", "simulate"), "sw
 def pyify(obj: Any) -> Any:
     """Recursively convert numpy containers/scalars to plain Python."""
     if isinstance(obj, np.ndarray):
-        return [pyify(x) for x in obj.tolist()]
+        return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, dict):
@@ -161,6 +162,13 @@ def write_lines(lines, path: str) -> None:
     """Write text lines, each ended by a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def float_rows(*columns) -> list:
+    """The rows of columns set side by side, as CSV lines of repr(float(v)):
+    each column is a 1-D array or a 2-D array of several columns."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    return [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def write_json(payload: Any, path: str) -> None:

@@ -47,8 +47,9 @@ class PumpProtocol:
 
 def _experimental(protocol: PumpProtocol, t):
     theta = TWO_PI * np.asarray(t, dtype=float) / protocol.period
-    j1 = protocol.j_max * (1.0 + np.cos(theta)) / 2.0
-    j2 = protocol.j_max * (1.0 - np.cos(theta)) / 2.0
+    cos = np.cos(theta)
+    j1 = protocol.j_max * (1.0 + cos) / 2.0
+    j2 = protocol.j_max * (1.0 - cos) / 2.0
     delta = protocol.delta_offset + protocol.delta0 * np.sin(theta)
     return j1, j2, delta
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import write_lines
+from .config import float_rows, write_lines
 
 # E_h / (e a0) in V/cm
 ATOMIC_FIELD_V_PER_CM = 5.142e9
@@ -212,9 +212,7 @@ def decompose_trace(
 
 
 def write_trace_csv(trace: TofTrace, path: str) -> None:
-    lines = ["time_us,current"]
-    lines.extend(f"{float(t)!r},{float(c)!r}" for t, c in zip(trace.times, trace.current))
-    write_lines(lines, path)
+    write_lines(["time_us,current"] + float_rows(trace.times, trace.current), path)
 
 
 def read_trace_csv(path: str) -> TofTrace:
@@ -224,8 +222,4 @@ def read_trace_csv(path: str) -> TofTrace:
 
 def write_basis_csv(basis: BasisSet, path: str) -> None:
     header = "time_us," + ",".join(basis.labels)
-    lines = [header]
-    for i, t in enumerate(basis.times):
-        row = [repr(float(t))] + [repr(float(v)) for v in basis.traces[:, i]]
-        lines.append(",".join(row))
-    write_lines(lines, path)
+    write_lines([header] + float_rows(basis.times, basis.traces.T), path)

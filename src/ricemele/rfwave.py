@@ -97,34 +97,36 @@ def required_programmed_amplitude(omega: float, alpha: float) -> float:
     return float(np.sqrt(omega / alpha))
 
 
-def _add_tone(tone: ToneSchedule, rate: float, composite: np.ndarray) -> float:
-    """Add the rendered tone voltage at the times i / rate to composite, a
-    block of _BLOCK samples at a time; return the largest |instantaneous
+def _render(tones, rate: float, composite: np.ndarray) -> float:
+    """Add every tone's rendered voltage at the times i / rate to composite, a
+    block of _BLOCK samples at a time, all tones on one time array per block
+    and each sample's tones in tone order; return the largest |instantaneous
     programmed frequency|."""
-    max_freq, cycles = 0.0, 0.0
+    max_freq, cycles = 0.0, [0.0] * len(tones)
     for start in range(0, len(composite), _BLOCK):
         stop = min(start + _BLOCK, len(composite))
         # led by the previous block's last sample, for the trapezoid step across the seam
         first = max(start - 1, 0)
         t = np.arange(first, stop) / rate
-        rabi = _eval_envelope(tone.rabi, t)
-        if np.any(rabi < 0):
-            raise ValueError("rabi envelope must be non-negative")
-        detuning = _eval_envelope(tone.detuning, t)
-        # half the field frequency: the doubler doubles frequency and squares
-        # amplitude; detuning shifts the field by Delta/(2 pi) MHz, the
-        # programmed tone by half of that
-        freq = tone.carrier / 2.0 + detuning / (2.0 * TWO_PI)
-        max_freq = max(max_freq, float(np.max(np.abs(freq))))
-        amplitude = np.sqrt(rabi[start - first:] / tone.alpha)
-        # cumulative trapezoid rule, the expression scipy's cumulative_trapezoid
-        # evaluates; the cumsum runs on from the cycles at t[0], so it adds in the
-        # order of one cumsum over all samples
-        steps = np.diff(t) * (freq[1:] + freq[:-1]) / 2.0
-        running = np.cumsum(np.concatenate(([cycles], steps)))
-        cycles = running[-1]
-        phase = tone.phase + TWO_PI * running[start - first:]
-        composite[start:stop] += amplitude * np.cos(phase)
+        for k, tone in enumerate(tones):
+            rabi = _eval_envelope(tone.rabi, t)
+            if np.any(rabi < 0):
+                raise ValueError("rabi envelope must be non-negative")
+            detuning = _eval_envelope(tone.detuning, t)
+            # half the field frequency: the doubler doubles frequency and squares
+            # amplitude; detuning shifts the field by Delta/(2 pi) MHz, the
+            # programmed tone by half of that
+            freq = tone.carrier / 2.0 + detuning / (2.0 * TWO_PI)
+            max_freq = max(max_freq, float(np.max(np.abs(freq))))
+            amplitude = np.sqrt(rabi[start - first:] / tone.alpha)
+            # cumulative trapezoid rule, the expression scipy's cumulative_trapezoid
+            # evaluates; the cumsum runs on from the tone's cycles at t[0], so it adds
+            # in the order of one cumsum over all samples
+            steps = np.diff(t) * (freq[1:] + freq[:-1]) / 2.0
+            running = np.cumsum(np.concatenate(([cycles[k]], steps)))
+            cycles[k] = running[-1]
+            phase = tone.phase + TWO_PI * running[start - first:]
+            composite[start:stop] += amplitude * np.cos(phase)
     return max_freq
 
 
@@ -143,7 +145,7 @@ def synthesize_waveform(tones, duration: float, rate: float, bits: int = 10) -> 
     if n_samples < 2:
         raise ValueError("duration too short for the sample rate")
     composite = np.zeros(n_samples)
-    max_freq = max(_add_tone(tone, rate, composite) for tone in tones)
+    max_freq = _render(tones, rate, composite)
     if rate <= 4.0 * max_freq:
         raise ValueError(
             f"aliasing: sample rate {rate} samples/us must exceed 4x the "

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import write_lines
+from .config import float_rows, write_lines
 from .model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width, build_hamiltonian, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 from . import evolution
@@ -253,10 +253,7 @@ def find_optimal_period(
 def write_spectrum_csv(track: SpectrumTrack, path: str) -> None:
     n_levels = track.eigenvalues.shape[1]
     header = "# columns: time_us," + ",".join(f"e{k + 1}" for k in range(n_levels))
-    lines = [header]
-    for t, row in zip(track.times, track.eigenvalues):
-        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
-    write_lines(lines, path)
+    write_lines([header] + float_rows(track.times, track.eigenvalues), path)
 
 
 def write_excitation_csv(spectrum: ExcitationSpectrum, path: str) -> None:
@@ -265,9 +262,7 @@ def write_excitation_csv(spectrum: ExcitationSpectrum, path: str) -> None:
         f"# linewidth_rad_per_us: {spectrum.linewidth!r}",
         "# columns: detuning,response",
     ]
-    for d, r in zip(spectrum.detunings, spectrum.response):
-        lines.append(f"{float(d)!r},{float(r)!r}")
-    write_lines(lines, path)
+    write_lines(lines + float_rows(spectrum.detunings, spectrum.response), path)
 
 
 def finite_band_spread(spec: ChainSpec, point: ParameterPoint) -> float:

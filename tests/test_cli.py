@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ricemele
+from ricemele import cli, defaults, rfwave
 from ricemele.cli import main
 from ricemele.config import (
     ConfigError,
@@ -22,6 +23,7 @@ from ricemele.config import (
 )
 from ricemele.evolution import MAX_STEPS
 from ricemele.model import TWO_PI
+from ricemele.protocols import sample_trajectory
 from ricemele.readout import read_trace_csv
 from ricemele.rfwave import read_waveform_binary
 
@@ -231,6 +233,51 @@ def test_waveform_synth_writes_binary_and_report(tmp_path):
     kinds = {row["kind"] for row in report["spectral_purity"]}
     assert kinds == {"carrier", "dc", "sum", "difference"}
     assert (out / "waveform.csv").exists()
+
+
+# Two pump tones over three blocks, the last one short: n_samples is not a multiple of _BLOCK.
+PUMP_WAVEFORM = {
+    "protocol": {"kind": "experimental", "j_max_mhz": 1.5, "delta0_mhz": 7.0, "period_us": 2.0},
+    "waveform": {"tones": [{"sites": [1, 2], "carrier_mhz": 20.0, "bond": 1, "detuning_sign": 1.0},
+                           {"sites": [2, 3], "carrier_mhz": 30.0, "bond": 2, "detuning_sign": -1.0}],
+                 "duration_us": (2 * rfwave._BLOCK + 1000) / 200.0, "sample_rate_per_us": 200.0, "bits": 10},
+}
+
+
+def test_pump_tones_render_as_if_each_sampled_its_own_trajectory(tmp_path):
+    out = tmp_path / "wave"
+    assert main(["--config", write_config(tmp_path, PUMP_WAVEFORM), "--out", str(out), "waveform", "synth"]) == 0
+    protocol = resolve_protocol(PUMP_WAVEFORM)
+
+    def pump_tone(sites, carrier, bond, sign):
+        def rabi(t):
+            j1, j2, _ = sample_trajectory(protocol, np.asarray(t) % protocol.duration)
+            return 2.0 * (j1 if bond == 1 else j2)
+
+        def detuning(t):
+            return 2.0 * sign * sample_trajectory(protocol, np.asarray(t) % protocol.duration)[2]
+
+        return rfwave.ToneSchedule(sites, carrier, rabi, detuning, defaults.WAVEFORM["alpha"], 0.0)
+
+    reference = rfwave.synthesize_waveform([pump_tone((1, 2), 20.0, 1, 1.0), pump_tone((2, 3), 30.0, 2, -1.0)],
+                                           PUMP_WAVEFORM["waveform"]["duration_us"], 200.0, 10)
+    assert len(reference.samples) == 2 * rfwave._BLOCK + 1000
+    assert np.array_equal(read_waveform_binary(str(out / "waveform.bin")).samples, reference.samples)
+    assert json.loads((out / "waveform.json").read_text())["normalization"] == reference.normalization
+
+
+def test_pump_tones_sample_the_trajectory_once_per_block(tmp_path, monkeypatch):
+    lengths = []
+
+    def counted(protocol, t):
+        lengths.append(np.size(t))
+        return sample_trajectory(protocol, t)
+
+    monkeypatch.setattr(cli, "sample_trajectory", counted)
+    assert main(["--config", write_config(tmp_path, PUMP_WAVEFORM), "--out", str(tmp_path), "waveform", "synth"]) == 0
+    # each block after the first is led by its predecessor's last sample; the
+    # last call is the purity table's 256-point grid
+    assert lengths == [rfwave._BLOCK, rfwave._BLOCK + 1, 1001, 256]
 
 
 def test_waveform_requires_tones(tmp_path):

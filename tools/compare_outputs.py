@@ -4,11 +4,13 @@
 
 Each tree runs every demos/configs/*.json command (configs read from
 NEW_TREE), `spectrum instantaneous` on the spectrum config, `readout
-decompose` of the trace its own `readout synth` run wrote, `simulate` and
-`validate` with no config, `sweep offset` with no config at --dt 0.005,
-`sweep size` and `sweep mean_position` with no config at --dt 0.01, and
-`sweep period_delta`, `protocol_compare` and `topt_collapse` on the small
-grids of SMALL_SWEEPS at --dt 0.01, so every sweep kind runs, each sweep
+decompose` of the trace its own `readout synth` run wrote, `waveform
+synth` on waveform_pump.json with "csv_dump": true (the one case that
+writes waveform.csv), `simulate` and `validate` with no config, `sweep
+offset` with no config at --dt 0.005, `sweep size` and `sweep
+mean_position` with no config at --dt 0.01, and `sweep period_delta`,
+`protocol_compare` and `topt_collapse` on the small grids of
+SMALL_SWEEPS at --dt 0.01, so every sweep kind runs, each sweep
 at --jobs 1 and at --jobs 2; all write under the same --out path so
 printed paths agree. Each tree also runs every demos/*.py script of
 NEW_TREE, each in its own empty folder, and its stdout and the files it
@@ -56,6 +58,11 @@ def cases(configs, work, out):
             with open(decompose, "w", encoding="utf-8") as fh:
                 json.dump({"readout": {**cfg["readout"], "trace_path": trace}}, fh)
             yield "readout_decompose", ["--config", decompose, "readout", "decompose"]
+        if stem == "waveform_pump":
+            dump = os.path.join(work, "waveform_csv_dump.json")
+            with open(dump, "w", encoding="utf-8") as fh:
+                json.dump({**cfg, "waveform": {**cfg["waveform"], "csv_dump": True}}, fh)
+            yield "waveform_csv_dump", ["--config", dump, "waveform", "synth"]
     yield "simulate_no_config", ["simulate"]
     yield "validate_no_config", ["validate"]
     sweeps = [("sweep_offset", ["--dt", "0.005", "sweep", "offset"])]
