@@ -3,9 +3,9 @@
 Config files are JSON. Values are read with ``read`` inside a ``section``
 block: a key with _mhz in its name is plain MHz and becomes rad/us, times
 stay us, and a bad value raises ConfigError naming its section. Every
-text output goes through ``write_lines`` (CSV rows of floats made by
-``float_rows``) or ``write_json``; which files
-embed the resolved config is listed in cli.
+text output goes through ``write_lines``, CSV rows of floats made by
+``float_rows``, or ``write_json``; which files embed the resolved config
+is listed in cli.
 """
 
 from __future__ import annotations
@@ -165,10 +165,11 @@ def write_lines(lines, path: str) -> None:
 
 
 def float_rows(*columns) -> list:
-    """The rows of columns set side by side, as CSV lines of repr(float(v)):
-    each column is a 1-D array or a 2-D array of several columns."""
+    """CSV lines of repr(float(v)) for the rows of columns (1-D arrays, or 2-D
+    arrays of several columns) side by side, formatted a column at a time:
+    faster than a join per row when rows are short."""
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    return [",".join(map(repr, row)) for row in table.tolist()]
+    return list(map(",".join, zip(*(map(repr, column) for column in table.T.tolist()))))
 
 
 def write_json(payload: Any, path: str) -> None:

@@ -273,5 +273,5 @@ def write_waveform_csv(buffer: WaveformBuffer, path: str) -> None:
     """Debug dump: sample index and integer code."""
     lines = [f"# rate_samples_per_us: {buffer.sample_rate!r}",
              f"# bits: {buffer.bits}", "# columns: index,code"]
-    lines.extend(f"{i},{int(c)}" for i, c in enumerate(buffer.samples))
+    lines.extend(f"{i},{c}" for i, c in enumerate(buffer.samples.astype(np.int64).tolist()))
     write_lines(lines, path)

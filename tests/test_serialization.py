@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 from ricemele.config import canonical_json
 from ricemele.readout import BasisSet, TofTrace, write_basis_csv, write_trace_csv
+from ricemele.rfwave import WaveformBuffer, write_waveform_csv
 from ricemele.spectrum import ExcitationSpectrum, SpectrumTrack, write_excitation_csv, write_spectrum_csv
 
 # Values whose text a float cast decides: integers print as '3.0', float32 as
@@ -65,6 +66,13 @@ def test_trace_csv_bytes(tmp_path, first, second):
     times, current = first, np.abs(second)
     text = written(write_trace_csv, TofTrace(times, current), tmp_path)
     assert text == "\n".join(["time_us,current"] + reference_rows(times, current)) + "\n"
+
+
+@pytest.mark.parametrize("codes", [np.array([511, -511, 0, 7], dtype=np.int16), INTS, np.array([2.7, -2.7, -0.0])])
+def test_waveform_csv_bytes(tmp_path, codes):
+    text = written(write_waveform_csv, WaveformBuffer(50.0, 10, codes, 1.0), tmp_path)
+    header = ["# rate_samples_per_us: 50.0", "# bits: 10", "# columns: index,code"]
+    assert text == "\n".join(header + [f"{i},{int(c)}" for i, c in enumerate(codes)]) + "\n"
 
 
 def reference_pyify(obj):
