@@ -29,18 +29,36 @@ steps, one cycle where the steps tile a cycle: evolve decomposes the
 exponents of one grid of G steps and walks it gcd(n_steps, n_cycles)
 times. The overlaps depend on the exponents alone, so they are computed
 as the exponents are decomposed. Runs that share a decomposition, the
-periods of a scan inside shared_decompositions(), hold the eigenvalues
-and overlaps of one grid and step through them at each period's dt, once
-per pass. A run that no other run shares steps each chunk of exponents
-as soon as it is decomposed, and decomposes the grid again for each
-pass, so it holds one chunk at a time; both give the same bits.
+periods of a scan inside shared_decompositions(periods), hold the
+eigenvalues and overlaps of one grid and step through them at each
+period's dt, once per pass. A run that no other run shares steps each
+chunk of exponents as soon as it is decomposed, and decomposes the grid
+again for each pass, so it holds one chunk at a time; both give the same
+bits.
+
+A step takes one of two forms, by chain length. Below _STACK_SITES = 24
+sites, _propagate multiplies a chunk's phases into its overlaps, A_k =
+p_k[:, None] * O_k, and steps c <- A_k c. From 24 sites on,
+_propagate_states multiplies the phases into the state, c <- p_k * (O_k c):
+p * o.dot(c) for a lone run, and p * matmul(o, C[..., None])[..., 0] for a
+stack C of B runs that share the grid, which gives each run the bits of a
+lone run. The threshold is a measured crossover of a lone run: stepping a
+held 1,024-step grid in one process, 25 interleaved pairs (CPU time,
+2-vCPU Xeon, OpenBLAS 0.3.31), the state form took a median 1.19-1.33
+times the matrix form's time at N = 12-16, 0.96-1.07 times at N = 20-26
+and 0.78-0.88 times at N = 30-40. Inside
+shared_decompositions(periods), the first evolve of each (schedule key,
+store_states, psi0) at a listed period steps every listed period as one
+(B, N) stack through the held grid, and the later evolve calls of those
+periods return what it kept; an unlisted period, or a period already
+returned, is stepped as a stack of one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 import itertools
 import math
@@ -68,8 +86,13 @@ _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # factors take a quarter as much each), half its step matrices in
 # _propagate. A bound on the memory a run takes beyond what it holds, large
 # enough that the stacked eigh, QR and matmul calls amortise their call
-# cost.
+# cost. A stack of B runs on N sites casts its overlaps and builds its
+# (steps, B, N) complex phases within two of them, a block of steps at a time.
 _CHUNK_BYTES = 2**20
+# Chains of at least this many sites step the state as c <- p_k * (O_k c), in
+# stacks of the runs that share a grid; shorter ones multiply the phases into
+# the overlaps (see the module docstring for the measured crossover).
+_STACK_SITES = 24
 
 
 @dataclass(frozen=True)
@@ -130,8 +153,10 @@ class PulseSpec:
 
 
 def _propagate(chunks, count, dt, psi0, store):
-    """Shared stepping core: apply exp(-i h[k] dt) for each of the count
-    Hermitian matrices whose decompositions _eigen_chunks holds, in turn.
+    """Shared stepping core in the matrix form, for chains of fewer than
+    _STACK_SITES sites, STIRAP and generic Hermitian stacks: apply
+    exp(-i h[k] dt) for each of the count Hermitian matrices whose
+    decompositions _eigen_chunks holds, in turn.
 
     The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
@@ -185,6 +210,84 @@ def _propagate(chunks, count, dt, psi0, store):
     return psi, states
 
 
+def _matvecs(o, c):
+    """o applied to each row of c, (B, N): one matrix-vector product per row,
+    the bits of o.dot(row)."""
+    return np.matmul(o, c[..., None])[..., 0]
+
+
+def _propagate_states(chunks, count, dts, psi0, store):
+    """_propagate's stepping in the state form, for a stack of B runs that
+    share the chunks, at the step lengths dts: each exponential is
+
+        c_k = p_k * (v_k^H v_(k-1)) c_(k-1),  p_k = exp(-i w_k dt),
+
+    the overlaps applied to the state and the phases multiplied into the
+    product, on chains of _STACK_SITES or more sites. A lone run (B = 1)
+    keeps its coefficients as a vector and steps them by o.dot(c); a stack
+    keeps them as rows (B, N) and steps them by _matvecs, which gives each
+    run the bits of a lone run where the matrix is complex and contiguous:
+    the real overlaps are cast so a block of steps at a time, not at each
+    product, and the bases the state enters and leaves a grid through once
+    per pass. A block's complex overlaps and its (steps, B, N) phases are
+    built in two reused buffers within 2 * _CHUNK_BYTES.
+    Returns a list of B pairs (final state, states), as _propagate returns
+    them for one run; states is None without store.
+    """
+    dts = np.asarray(dts, dtype=float)
+    b, n = len(dts), len(psi0)
+    lone = b == 1
+    dt, product = (dts[0], np.ndarray.dot) if lone else (dts[:, None], _matvecs)  # o.dot(c), not np.dot's dispatch
+    # steps whose complex overlaps and phases fit in two chunks, as _propagate's step matrices do
+    per = max(1, 2 * _CHUNK_BYTES // (16 * n * (n + b)))
+    if store:
+        states = np.empty((b, count // 2 + 1, n), dtype=complex)
+        rows = states[0] if lone else states.swapaxes(0, 1)  # indexed by stored state, one int a step
+    k, row, c, final = 0, 1, None, None
+    for w, overlaps, first, bases in chunks:
+        if first is not None:  # matrix 0 of a grid, entered from the site basis
+            if c is None:
+                psi = psi0 if lone else np.broadcast_to(psi0, (b, n))
+                block = min(per, len(w))
+                cast, buffer = np.empty((block, n, n), dtype=complex), np.empty((block,) + psi.shape, dtype=complex)
+            else:
+                psi = product(final, c)
+            c = np.exp(-1j * w[0] * dt) * product(np.ascontiguousarray(first.conj().T, dtype=complex), psi)
+            w, k = w[1:], k + 1
+        for start in range(0, len(w), per):
+            part = w[start:start + per]
+            matrices, phases = cast[:len(part)], buffer[:len(part)]
+            matrices[...] = overlaps[start:start + per]
+            np.exp(np.multiply(-1j * (part if lone else part[:, None]), dt, out=phases), out=phases)
+            steps = zip(phases, matrices)
+            if store:
+                for j, (p, o) in enumerate(steps, k + start):
+                    c = p * product(o, c)
+                    if j % 2:
+                        rows[j // 2 + 1] = c
+            else:
+                for p, o in steps:
+                    c = p * product(o, c)
+        k += len(w)
+        if store:  # leave the eigenbasis at this chunk's odd matrices
+            done = slice(row, row + len(bases))
+            states[:, done] = np.matmul(bases, states[:, done, :, None])[..., 0]
+            row = done.stop
+        final = bases[-1].astype(complex) if len(bases) else final
+    psi = product(final, c).reshape(b, n)
+    if store:
+        states[:, 0] = psi0
+        states[:, -1] = psi
+    return list(zip(psi, states if store else itertools.repeat(None)))
+
+
+def _step_run(chunks, count, dt, psi0, store):
+    """One run's (final state, states) through the step form of its chain length."""
+    if len(psi0) < _STACK_SITES:
+        return _propagate(chunks, count, dt, psi0, store)
+    return _propagate_states(chunks, count, [dt], psi0, store)[0]
+
+
 def _step_count(duration: float, dt: float | None, cycle: float) -> int:
     """Steps of the grid nearest dt (None: cycle / DEFAULT_STEPS_PER_CYCLE)
     that tiles [0, duration], within MAX_STEPS."""
@@ -205,18 +308,58 @@ def schedule_key(spec: ChainSpec, protocol: PumpProtocol, dt: float | None = Non
     return spec, replace(protocol, period=1.0), n_steps
 
 
+@dataclass
+class _Block:
+    """What shared_decompositions(periods) holds: the periods it was told,
+    the decomposed grid of each (schedule key, store_states), and the runs
+    of a stack that evolve has stepped but not yet returned, by (schedule
+    key, store_states, psi0 bytes) and then period."""
+
+    periods: tuple
+    grids: dict = field(default_factory=dict)
+    runs: dict = field(default_factory=dict)
+
+    def step(self, key, store, psi0, protocol, decompose, passes):
+        """The (final state, states) of the run of protocol from psi0."""
+        grid = self.grids.get((key, store))
+        if grid is None:
+            grid = self.grids[key, store] = list(decompose())
+        spec, _, n_steps = key
+        walk = itertools.chain.from_iterable(itertools.repeat(grid, passes))
+        if spec.n_sites >= _STACK_SITES:
+            stacked = (key, store, psi0.tobytes())
+            if stacked not in self.runs and protocol.period in self.periods:
+                dts = [replace(protocol, period=period).duration / n_steps for period in self.periods]
+                self.runs[stacked] = dict(zip(self.periods, _propagate_states(walk, 2 * n_steps, dts, psi0, store)))
+            held = self.runs.get(stacked, {})
+            if protocol.period in held:
+                return held.pop(protocol.period)
+        return _step_run(walk, 2 * n_steps, protocol.duration / n_steps, psi0, store)
+
+
 _shared = ContextVar("shared_decompositions", default=None)
 
 
 @contextmanager
-def shared_decompositions():
+def shared_decompositions(periods=()):
     """Inside the block, evolve decomposes the grid of steps of each
     (schedule key, store_states), one cycle where the steps tile a cycle,
     once, and walks it for every pass of every run of that key; every
     decomposition is dropped when the block ends. Runs of one key that
     differ in store_states decompose its matrices once each, since they
-    keep different eigenbases."""
-    token = _shared.set({})
+    keep different eigenbases.
+
+    periods are the periods the block's runs will take. On a chain of
+    _STACK_SITES or more sites, the first evolve of each (schedule key,
+    store_states, psi0) at one of them steps all of them as one stack
+    through the key's grid (see _propagate_states), at dt =
+    replace(protocol, period=p).duration / n_steps, and keeps their final
+    states and states until their own evolve calls return them; a run at
+    another period, or at a period already returned, is stepped alone.
+    Every run has the bits of the same run outside the block. So the
+    listed periods should share one step count, as those of a sweep group
+    or of efficiency_vs_period do: each key they span steps all of them."""
+    token = _shared.set(_Block(tuple(dict.fromkeys(map(float, periods)))))
     try:
         yield
     finally:
@@ -358,27 +501,24 @@ def evolve(
     passes = math.gcd(n_steps, unit.n_cycles)  # the steps repeat every n_steps // passes
     decompose = partial(_cf4_decomposition, spec, partial(sample_trajectory, unit), n_steps // passes,
                         unit.n_cycles // passes, cfg.store_states)
-    shared = _shared.get()
-    if shared is None:  # outside shared_decompositions(): each pass stepped as it is decomposed
+    block = _shared.get()
+    if block is None:  # outside shared_decompositions(): each pass stepped as it is decomposed
         chunks = itertools.chain.from_iterable(decompose() for _ in range(passes))
+        stepped = _step_run(chunks, 2 * n_steps, protocol.duration / n_steps, psi0, cfg.store_states)
     else:  # one grid held for every run of its key, and of its store_states, in the block
-        held = (key, cfg.store_states)
-        if held not in shared:
-            shared[held] = list(decompose())
-        chunks = itertools.chain.from_iterable(itertools.repeat(shared[held], passes))
-    return _record(spec, chunks, n_steps, protocol.duration, psi0, cfg.store_states, protocol)
+        stepped = block.step(key, cfg.store_states, psi0, protocol, decompose, passes)
+    return _record(spec, stepped, n_steps, protocol.duration, psi0, protocol)
 
 
-def _record(spec, chunks, n_steps, duration, psi0, store, protocol=None):
-    """Step psi0 through [0, duration], one equal CF4 step per pair of
-    decomposed exponents; stores the states after whole steps."""
-    dt = duration / n_steps
-    psi, states = _propagate(chunks, 2 * n_steps, dt, psi0, store)
-    if store:
+def _record(spec, stepped, n_steps, duration, psi0, protocol=None):
+    """The record of a run through [0, duration] in n_steps equal CF4 steps,
+    from its (final state, states), states None where none were stored."""
+    psi, states = stepped
+    if states is not None:
         times = np.linspace(0.0, duration, n_steps + 1)
     else:
         times, states = np.array([0.0, duration]), np.stack([psi0, psi])
-    return EvolutionRecord(times=times, states=states, spec=spec, dt=dt, protocol=protocol)
+    return EvolutionRecord(times=times, states=states, spec=spec, dt=duration / n_steps, protocol=protocol)
 
 
 def initial_dimer_state(
@@ -480,4 +620,5 @@ def stirap_sequence(
 
     n_steps = _step_count(duration, cfg.dt, duration)
     chunks = _cf4_decomposition(spec, couplings, n_steps, duration, cfg.store_states)
-    return _record(spec, chunks, n_steps, duration, psi0, cfg.store_states)
+    return _record(spec, _propagate(chunks, 2 * n_steps, duration / n_steps, psi0, cfg.store_states), n_steps,
+                   duration, psi0)

@@ -198,9 +198,10 @@ def efficiency_vs_period(
     """transport_efficiency for every period in the grid, dt_per_cycle steps per period.
 
     Every period steps through the same cycle phases, so one
-    eigendecomposition serves the whole grid; it is dropped on return.
+    eigendecomposition serves the whole grid, and a long chain steps the
+    periods as one stack; both are dropped on return.
     """
-    with evolution.shared_decompositions():
+    with evolution.shared_decompositions([float(period) for period in period_grid]):
         return np.array([
             transport_efficiency(spec, replace(protocol_template, period=float(period)),
                                  start_cell, branch, float(period) / dt_per_cycle)

@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__, defaults, evolution, protocols
-from .config import (chain_to_dict, config_hash, protocol_to_dict, pyify, read, refuse_unknown_keys, write_json,
-                     write_lines)
+from .config import (chain_to_dict, config_hash, float_rows, protocol_to_dict, pyify, read, refuse_unknown_keys,
+                     write_json, write_lines)
 from .model import TWO_PI, ChainSpec
 from .protocols import PumpProtocol, sample_trajectory
 from .spectrum import (find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average,
@@ -137,9 +137,12 @@ class SweepResult:
 
 def _run_group(tasks):
     """Evaluate (callable, args) pairs that share a Hamiltonian schedule,
-    decomposing it once. A lone task has nothing to share, so its runs
-    stream their exponents as a direct evolve call does."""
-    with evolution.shared_decompositions() if len(tasks) > 1 else contextlib.nullcontext():
+    decomposing it once; the block is told the periods of the protocols
+    among the tasks' arguments, so a long chain steps them as one stack. A
+    lone task has nothing to share, so its runs stream their exponents as a
+    direct evolve call does."""
+    periods = [arg.period for _, args in tasks for arg in args if isinstance(arg, PumpProtocol)]
+    with evolution.shared_decompositions(periods) if len(tasks) > 1 else contextlib.nullcontext():
         return [fn(*args) for fn, args in tasks]
 
 
@@ -283,16 +286,19 @@ def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
                      branch=read(section, "branch", defaults.BRANCH, str), dt=dt, jobs=jobs)
 
 
+def _float_axes(result: SweepResult) -> list:
+    return [np.asarray(result.axes[name], dtype=float) for name in result.axis_names]
+
+
 def write_sweep_csv(result: SweepResult, path: str) -> None:
     lines = [f"# {result.metadata['provenance']}", f"# kind: {result.kind}",
              f"# config_sha256: {result.metadata['config_sha256']}"]
-    for name in result.axis_names:
-        joined = ",".join(repr(float(v)) for v in result.axes[name])
-        lines.append(f"# axis {name}: {joined}")
+    axes = _float_axes(result)
+    for name, axis in zip(result.axis_names, axes):
+        lines.append(f"# axis {name}: " + ",".join(map(repr, axis.tolist())))
     lines.append("# columns: " + ",".join(result.axis_names + result.columns))
-    points = itertools.product(*(result.axes[name] for name in result.axis_names))
-    for point, row in zip(points, result.values):
-        lines.append(",".join(repr(float(v)) for v in (*point, *row)))
+    points = (grid.ravel() for grid in np.meshgrid(*axes, indexing="ij"))  # row-major, the first axis slowest
+    lines += float_rows(*points, result.values)
     write_lines(lines, path)
 
 
@@ -300,10 +306,10 @@ def write_sweep_json(result: SweepResult, path: str) -> None:
     write_json({
         "kind": result.kind,
         "metadata": result.metadata,
-        "axes": {name: list(map(float, result.axes[name])) for name in result.axis_names},
+        "axes": {name: axis.tolist() for name, axis in zip(result.axis_names, _float_axes(result))},
         "axis_order": list(result.axis_names),
         "columns": list(result.columns),
-        "values": [[float(v) for v in row] for row in result.values],
+        "values": np.asarray(result.values, dtype=float).tolist(),
     }, path)
 
 

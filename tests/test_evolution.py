@@ -280,6 +280,82 @@ def test_shared_runs_decompose_one_grid_of_steps(eigh_matrices, n_cycles, n_step
     assert eigh_matrices(3) == 2 * n_steps // math.gcd(n_steps, n_cycles)
 
 
+@pytest.mark.parametrize("store", [True, False])
+@pytest.mark.parametrize("n_sites", [24, 30, 31])
+def test_period_stack_equals_lone_runs_bit_for_bit(eigh_matrices, n_sites, store):
+    """Inside shared_decompositions(periods) a chain of _STACK_SITES or more
+    sites steps the listed periods as one stack at its first run; each run
+    keeps the bits of the same run outside the block, and so do a period
+    left off the list, a listed period run again and a second psi0, which
+    are stepped alone through the same grid."""
+    assert n_sites >= evolution._STACK_SITES
+    chain, cfg = ChainSpec(n_sites), EvolutionConfig(store_states=store)
+    listed, unlisted = [0.4, 1.3, 0.7], 0.9
+    psi0, other = start_state(chain, PROTO, 7), start_state(chain, PROTO, 3)
+    runs = [(psi0, p) for p in listed] + [(psi0, unlisted), (other, listed[1]), (psi0, listed[0])]
+    alone = [evolve(chain, replace(PROTO, period=p), psi, cfg) for psi, p in runs]
+    before = eigh_matrices((n_sites + 1) // 2)
+    with evolution.shared_decompositions(listed):
+        shared = [evolve(chain, replace(PROTO, period=p), psi, cfg) for psi, p in runs]
+    # one cycle's grid of 512 steps, two exponents a step, for the whole block
+    assert eigh_matrices((n_sites + 1) // 2) - before == 2 * 512
+    for a, b in zip(alone, shared):
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times) and a.dt == b.dt
+
+
+def test_listed_periods_of_other_step_counts_keep_their_bits():
+    """At a fixed dt the listed periods take 100, 104 and 180 steps, three
+    schedule keys: a stack stepped at one key's count is never returned to
+    a run of another, and every run keeps its lone bits."""
+    chain, periods = ChainSpec(24), [0.5, 0.52, 0.9]
+    psi0, cfg = start_state(chain, PROTO, 5), EvolutionConfig(dt=0.01, store_states=True)
+    with evolution.shared_decompositions(periods):
+        shared = [evolve(chain, replace(PROTO, period=p), psi0, cfg) for p in periods]
+    alone = [evolve(chain, replace(PROTO, period=p), psi0, cfg) for p in periods]
+    assert [len(r.times) for r in shared] == [101, 105, 181]
+    assert all(np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times) for a, b in zip(alone, shared))
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
+    """The (steps, B, N) phases of a stack are built a few steps at a time:
+    from one step to all of a chunk's, the states keep their bits."""
+    chain, periods = ChainSpec(25), [0.3, 0.8, 1.1, 2.0]
+    psi0, cfg = start_state(chain, PROTO, 6), EvolutionConfig(dt=None, store_states=store)
+    proto = replace(PROTO, n_cycles=3)
+
+    def stacked():
+        with evolution.shared_decompositions(periods):
+            return [evolve(chain, replace(proto, period=p), psi0, cfg).states for p in periods]
+
+    expected = stacked()
+    for chunk_bytes in (1, 16 * 4 * 25 * 5, 3 * 8 * 25**2):  # 1 or 5 steps of phases; 3 exponents a chunk
+        monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked(), expected))
+
+
+def test_period_stack_holds_its_grid_its_output_and_a_few_chunks():
+    """A 200-period stack on N = 30 builds its phases a few steps at a time:
+    all of them at once would take 197 MB, a chunk's 14 MB."""
+    chain, cfg = ChainSpec(30), EvolutionConfig(store_states=False)
+    periods = np.geomspace(0.5, 5.0, 200)
+    psi0 = start_state(chain, PROTO, 7)
+    protocols = [replace(PROTO, period=float(p)) for p in periods]
+    records = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with evolution.shared_decompositions(periods):
+            records.extend(evolve(chain, proto, psi0, cfg) for proto in protocols)
+            grid = sum(map(held_bytes, evolution._shared.get().grids.values()))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(r.times.nbytes + r.states.nbytes for r in records)
+    # the stack's final states (B, N), its complex overlaps (2 chunks), its phases (1) and working rows
+    assert peak <= grid + outputs + len(periods) * 30 * 16 + 4 * evolution._CHUNK_BYTES
+
+
 def test_evolve_norm_drift_stays_tiny():
     cfg = EvolutionConfig(dt=PROTO.duration / 10_000, store_states=False)
     record = evolve(CHAIN, PROTO, start_state(), cfg)

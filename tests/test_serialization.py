@@ -1,5 +1,6 @@
-"""The bytes of the text outputs: each CSV writer and canonical JSON against
-an element-by-element reference conversion written here."""
+"""The bytes of the text outputs: each CSV writer, the sweep JSON and
+canonical JSON against an element-by-element reference conversion written
+here."""
 
 import itertools
 import json
@@ -14,6 +15,7 @@ from ricemele.config import canonical_json
 from ricemele.readout import BasisSet, TofTrace, write_basis_csv, write_trace_csv
 from ricemele.rfwave import WaveformBuffer, write_waveform_csv
 from ricemele.spectrum import ExcitationSpectrum, SpectrumTrack, write_excitation_csv, write_spectrum_csv
+from ricemele.sweeps import SweepResult, write_sweep_csv, write_sweep_json
 
 # Values whose text a float cast decides: integers print as '3.0', float32 as
 # the double it widens to, and -0.0, the smallest subnormal and 1e300 keep
@@ -73,6 +75,36 @@ def test_waveform_csv_bytes(tmp_path, codes):
     text = written(write_waveform_csv, WaveformBuffer(50.0, 10, codes, 1.0), tmp_path)
     header = ["# rate_samples_per_us: 50.0", "# bits: 10", "# columns: index,code"]
     assert text == "\n".join(header + [f"{i},{int(c)}" for i, c in enumerate(codes)]) + "\n"
+
+
+def sweep_result(first, second):
+    """A two-axis sweep over the first and second values, row-major, with a
+    values column of each pairing's dtype."""
+    values = np.column_stack([np.resize(second, len(first) * len(second)),
+                              np.resize(first, len(first) * len(second))])
+    return SweepResult("period_delta", ("period", "delta0"), {"period": first, "delta0": second},
+                       ("a", "b"), values, {"provenance": "p", "kind": "period_delta", "config_sha256": "0"})
+
+
+@PAIRS
+def test_sweep_csv_bytes(tmp_path, first, second):
+    result = sweep_result(first, second)
+    header = ["# p", "# kind: period_delta", "# config_sha256: 0",
+              "# axis period: " + ",".join(repr(float(v)) for v in first),
+              "# axis delta0: " + ",".join(repr(float(v)) for v in second), "# columns: period,delta0,a,b"]
+    rows = [",".join(repr(float(v)) for v in (*point, *row))
+            for point, row in zip(itertools.product(first, second), result.values)]
+    assert written(write_sweep_csv, result, tmp_path) == "\n".join(header + rows) + "\n"
+
+
+@PAIRS
+def test_sweep_json_bytes(tmp_path, first, second):
+    result = sweep_result(first, second)
+    expected = {"kind": "period_delta", "metadata": result.metadata,
+                "axes": {"period": list(map(float, first)), "delta0": list(map(float, second))},
+                "axis_order": ["period", "delta0"], "columns": ["a", "b"],
+                "values": [[float(v) for v in row] for row in result.values]}
+    assert written(write_sweep_json, result, tmp_path) == canonical_json(expected) + "\n"
 
 
 def reference_pyify(obj):

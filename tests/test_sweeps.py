@@ -488,6 +488,32 @@ def test_ripple_frequency_tracks_delta0_not_coupling():
     assert stronger_j / base == pytest.approx(1.0, rel=0.15)
 
 
+@pytest.mark.parametrize("n_sites", [24, 30, 31])
+def test_period_stacks_equal_point_by_point_evolve(monkeypatch, eigh_matrices, n_sites):
+    """On chains of evolution._STACK_SITES or more sites a group's periods
+    are stepped as one stack: the sweep rows, at --jobs 1 and 2, and the
+    efficiency_vs_period values keep the bits of one evolve per period, and
+    each decomposes one grid."""
+    stacks, step = [], evolution._propagate_states
+    monkeypatch.setattr(evolution, "_propagate_states",
+                        lambda chunks, count, dts, *rest: stacks.append(len(dts)) or step(chunks, count, dts, *rest))
+    chain = ChainSpec(n_sites)
+    spec = replace(mean_position_spec(), chain=chain)
+    rows = run_sweep(spec).values
+    assert eigh_matrices((n_sites + 1) // 2) == 1024 and stacks == [3]
+    for row, period in zip(rows, spec.axes["period"]):
+        proto = replace(spec.protocol, period=float(period))
+        assert tuple(row) == mean_position_reference(chain, proto, spec.start_cell, None)
+    assert np.array_equal(run_sweep(replace(spec, jobs=2)).values, rows)
+    periods = np.array([0.5, 0.8, 1.2])
+    before = eigh_matrices((n_sites + 1) // 2)
+    values = efficiency_vs_period(chain, spec.protocol, periods, start_cell=3)
+    assert eigh_matrices((n_sites + 1) // 2) - before == 1024 and stacks[-1] == 3
+    expected = [transport_efficiency(chain, replace(spec.protocol, period=float(p)), 3, "lower", float(p) / 512)
+                for p in periods]
+    assert np.array_equal(values, expected)
+
+
 def test_sweep_decomposes_one_run_for_all_its_periods(eigh_matrices):
     spec = mean_position_spec()
     result = run_sweep(spec)
@@ -515,7 +541,7 @@ def test_lone_sweep_group_holds_no_decomposition(eigh_matrices):
         return evolution._shared.get()
 
     assert sweeps._run_group([(held, ())]) == [None]
-    assert sweeps._run_group([(held, ()), (held, ())]) == [{}, {}]
+    assert sweeps._run_group([(held, ()), (held, ())]) == [evolution._Block(())] * 2  # an empty block
     spec = replace(mean_position_spec(), axes={"period": np.array([0.6])})
     run_sweep(spec)
     assert eigh_matrices(3) == 2 * 1024
