@@ -318,8 +318,9 @@ def test_listed_periods_of_other_step_counts_keep_their_bits():
 
 @pytest.mark.parametrize("store", [True, False])
 def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
-    """The (steps, B, N) phases of a stack are built a few steps at a time:
-    from one step to all of a chunk's, the states keep their bits."""
+    """A stack casts its overlaps and builds its (steps, B, N) phases a
+    block of steps at a time: blocks of 1 to 180 steps, in chunks of 1 to
+    209 exponents, give the same bits."""
     chain, periods = ChainSpec(25), [0.3, 0.8, 1.1, 2.0]
     psi0, cfg = start_state(chain, PROTO, 6), EvolutionConfig(dt=None, store_states=store)
     proto = replace(PROTO, n_cycles=3)
@@ -329,7 +330,8 @@ def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
             return [evolve(chain, replace(proto, period=p), psi0, cfg).states for p in periods]
 
     expected = stacked()
-    for chunk_bytes in (1, 16 * 4 * 25 * 5, 3 * 8 * 25**2):  # 1 or 5 steps of phases; 3 exponents a chunk
+    # blocks of 1, 5 and 2 steps in chunks of 1, 5 and 3 exponents; the default is 180 and 209
+    for chunk_bytes in (1, 5 * 8 * 25**2 + 4000, 3 * 8 * 25**2):
         monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
         assert all(np.array_equal(a, b) for a, b in zip(stacked(), expected))
 
@@ -352,7 +354,7 @@ def test_period_stack_holds_its_grid_its_output_and_a_few_chunks():
     finally:
         tracemalloc.stop()
     outputs = sum(r.times.nbytes + r.states.nbytes for r in records)
-    # the stack's final states (B, N), its complex overlaps (2 chunks), its phases (1) and working rows
+    # the stack's final states (B, N), a block's complex overlaps and phases (2 chunks together) and working rows
     assert peak <= grid + outputs + len(periods) * 30 * 16 + 4 * evolution._CHUNK_BYTES
 
 
