@@ -92,7 +92,7 @@ def _cmd_simulate(args, cfg) -> int:
     with section(cfg, "simulate", ("start_cell", "branch")) as values:
         start_cell = read(values, "start_cell", defaults.START_CELL, int)
         branch = read(values, "branch", defaults.BRANCH, str)
-        psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, branch)
+        psi0 = evolution.start_state(chain, protocol, start_cell, branch)
     record = evolution.evolve(chain, protocol, psi0, evo)
     times, pops = _downsampled(record.times, record.cell_population_table())
     winding, on_boundary = winding_number(protocol)

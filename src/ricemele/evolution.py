@@ -28,37 +28,38 @@ so the steps of a run repeat every G = n_steps // gcd(n_steps, n_cycles)
 steps, one cycle where the steps tile a cycle: evolve decomposes the
 exponents of one grid of G steps and walks it gcd(n_steps, n_cycles)
 times. The overlaps depend on the exponents alone, so they are computed
-as the exponents are decomposed. Runs that share a decomposition, the
-periods of a scan inside shared_decompositions(periods), hold the
-eigenvalues and overlaps of one grid and step through them at each
-period's dt, once per pass. A run that no other run shares steps each
-chunk of exponents as soon as it is decomposed, and decomposes the grid
-again for each pass, so it holds one chunk at a time; both give the same
-bits.
+as the exponents are decomposed. A lone run steps each chunk of exponents
+as soon as it is decomposed, and decomposes the grid again for each pass,
+so it holds one chunk at a time.
+
+Runs that share the chain, the step count, the cycle count and
+store_states step as one (B, N) stack inside shared_decompositions(runs),
+which is told their evolve arguments: the first evolve of any of them
+steps them all, one matrix-vector product a step for the whole stack, and
+the later evolve calls return what it kept. Runs of one schedule (the
+periods of a scan) hold its decomposed grid and step through it at each
+period's dt, once per pass. Runs of several schedules (the offsets of a
+scan) have their exponents built and decomposed together, a chunk of
+steps at a time and again for each pass, as a lone run streams its own,
+and each run steps through the overlaps of its schedule.
 
 A step takes one of two forms, by chain length. Below _STACK_SITES = 24
-sites, _propagate multiplies a chunk's phases into its overlaps, A_k =
-p_k[:, None] * O_k, and steps c <- A_k c. From 24 sites on,
-_propagate_states multiplies the phases into the state, c <- p_k * (O_k c):
-p * o.dot(c) for a lone run, and p * matmul(o, C[..., None])[..., 0] for a
-stack C of B runs that share the grid, which gives each run the bits of a
-lone run. The threshold is a measured crossover of a lone run: stepping a
-held 1,024-step grid in one process, 25 interleaved pairs (CPU time,
-2-vCPU Xeon, OpenBLAS 0.3.31), the state form took a median 1.19-1.33
-times the matrix form's time at N = 12-16, 0.96-1.07 times at N = 20-26
-and 0.78-0.88 times at N = 30-40. Inside
-shared_decompositions(periods), the first evolve of each (schedule key,
-store_states, psi0) at a listed period steps every listed period as one
-(B, N) stack through the held grid, and the later evolve calls of those
-periods return what it kept; an unlisted period, or a period already
-returned, is stepped as a stack of one.
+sites, _propagate multiplies the phases into the overlaps, A_k =
+p_k[:, None] * O_k, and steps c <- A_k c. From 24 sites on it multiplies
+the phases into the state, c <- p_k * (O_k c). A lone run steps by
+a.dot(c), a stack C by matmul(a, C[..., None])[..., 0], which gives each
+run the bits of a lone run in either form. The threshold is a measured
+crossover of a lone run: stepping a held 1,024-step grid in one process,
+25 interleaved pairs (CPU time, 2-vCPU Xeon, OpenBLAS 0.3.31), the state
+form took a median 1.19-1.33 times the matrix form's time at N = 12-16,
+0.96-1.07 times at N = 20-26 and 0.78-0.88 times at N = 30-40.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 import itertools
 import math
@@ -69,12 +70,12 @@ from .model import ChainSpec, ParameterPoint, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 
 DEFAULT_STEPS_PER_CYCLE = 512
-# Most steps one run may take. A shared run on N sites holds the eigenvalues
-# and the overlaps of the 2G exponents of its grid of G steps (see evolve),
-# 8 * 2G * N**2 bytes (and its G odd eigenbases, half as much again, if it
-# stores states); a run that nothing shares holds one chunk of _CHUNK_BYTES
-# at a time besides its output. A larger run is refused before anything is
-# allocated, as at 2**21 exponents a shared decomposition alone would take
+# Most steps one run may take. Runs of one schedule in a stack hold the
+# eigenvalues and the overlaps of the 2G exponents of its grid of G steps (see
+# _step_stack), 8 * 2G * N**2 bytes on N sites (and its G odd eigenbases, half
+# as much again, if they store states); any other run holds one chunk of
+# _CHUNK_BYTES at a time besides its output. A larger run is refused before
+# anything is allocated, as at 2**21 exponents a held grid alone would take
 # gigabytes. No test, demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**20
 # CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
@@ -83,15 +84,15 @@ _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
 # overlaps of a chunk in _eigen_chunks (its odd-site blocks and their QR
-# factors take a quarter as much each), half its step matrices in
-# _propagate. A bound on the memory a run takes beyond what it holds, large
-# enough that the stacked eigh, QR and matmul calls amortise their call
-# cost. A stack of B runs on N sites casts its overlaps and builds its
-# (steps, B, N) complex phases within two of them, a block of steps at a time.
+# factors take a quarter as much each), and a block of steps' complex step
+# matrices and (steps, B, N) phases in _propagate. A bound on the memory a run
+# takes beyond what it holds, large enough that the stacked eigh, QR and
+# matmul calls amortise their call cost. A chunk of S schedules holds as many
+# matrices as a chunk of one, so a stack takes no more than a lone run.
 _CHUNK_BYTES = 2**20
-# Chains of at least this many sites step the state as c <- p_k * (O_k c), in
-# stacks of the runs that share a grid; shorter ones multiply the phases into
-# the overlaps (see the module docstring for the measured crossover).
+# Chains of at least this many sites step the state as c <- p_k * (O_k c);
+# shorter ones multiply the phases into the overlaps (see the module docstring
+# for the measured crossover).
 _STACK_SITES = 24
 
 
@@ -152,140 +153,118 @@ class PulseSpec:
         return 0.5 * self.peak_rabi * np.exp(-(((t - self.center) / self.width) ** 2))
 
 
-def _propagate(chunks, count, dt, psi0, store):
-    """Shared stepping core in the matrix form, for chains of fewer than
-    _STACK_SITES sites, STIRAP and generic Hermitian stacks: apply
-    exp(-i h[k] dt) for each of the count Hermitian matrices whose
-    decompositions _eigen_chunks holds, in turn.
-
-    The state is stepped as its coefficients c_k in matrix k's eigenbasis:
-
-        c_0 = p_0 * (v_0^H psi0),  c_k = A_k c_(k-1),  psi_k = v_k c_k,
-        A_k = p_k[:, None] * (v_k^H v_(k-1)),  p_k = exp(-i w_k dt),
-
-    so each exponential is one complex matrix-vector product. The chunks
-    carry the overlaps v_k^H v_(k-1); each chunk's phases are multiplied
-    into them in one reused buffer. chunks may be a list, shared by runs at
-    any dt, or a generator, decomposed as it is stepped.
-    chunks may also walk one grid of matrices several times, as evolve
-    walks the grid of a cycle: each pass starts with a chunk whose first
-    is set, and the state re-enters the grid through the site basis,
-    c <- p_0 * (v_0^H (v_last c)), from the last eigenbasis of the pass
-    before, which its last chunk keeps (its index is odd).
-    Returns the final state psi_(count-1) and, with store, psi0 followed by
-    every second psi_k (psi_1, psi_3, ...): the states after whole CF4
-    steps, count // 2 + 1 states. store needs an even count, as CF4 gives.
-    """
-    states = np.empty((count // 2 + 1, len(psi0)), dtype=complex) if store else None
-    # the index of the next matrix and of the next stored state, the coefficients, the last basis left through
-    k, row, c, final = 0, 1, None, None
-    for w, overlaps, first, bases in chunks:
-        if first is not None:  # matrix 0 of a grid, entered from the site basis
-            if c is None:
-                psi = psi0
-                steps = np.empty((len(w),) + first.shape, dtype=complex)  # the A_k of every chunk in turn
-            else:  # a later pass: leave the eigenbasis the last pass ended in
-                psi = final @ c
-            c = np.exp(-1j * w[0] * dt) * (first.conj().T @ psi)
-            w, k = w[1:], k + 1
-        products = np.multiply(np.exp(-1j * w[:, :, None] * dt), overlaps, out=steps[:len(w)])
-        if store:
-            for j, a in enumerate(products, k):
-                c = a.dot(c)  # the bits of a @ c, with less overhead per call
-                if j % 2:
-                    states[j // 2 + 1] = c
-        else:  # the same products without the store bookkeeping, which sweep points never need
-            for a in products:
-                c = a.dot(c)
-        k += len(w)
-        if store:  # leave the eigenbasis at this chunk's odd matrices
-            done = slice(row, row + len(bases))
-            states[done] = (bases @ states[done, :, None])[..., 0]
-            row = done.stop
-        final = bases[-1] if len(bases) else final
-    psi = final @ c
-    if store:
-        states[0] = psi0
-        states[-1] = psi  # the no-store expression, so the final state does not depend on store
-    return psi, states
-
-
 def _matvecs(o, c):
     """o applied to each row of c, (B, N): one matrix-vector product per row,
-    the bits of o.dot(row)."""
+    the bits of o.dot(row) where o is complex and contiguous."""
     return np.matmul(o, c[..., None])[..., 0]
 
 
-def _propagate_states(chunks, count, dts, psi0, store):
-    """_propagate's stepping in the state form, for a stack of B runs that
-    share the chunks, at the step lengths dts: each exponential is
+def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
+    """The stepping core: apply exp(-i h[k] dt) for each of the count
+    Hermitian matrices whose decompositions _eigen_chunks holds, in turn, to
+    each of B runs, run b at step length dts[b] from psi0s[b] through the
+    matrices of schedule schedules[b] of the chunks' S.
 
-        c_k = p_k * (v_k^H v_(k-1)) c_(k-1),  p_k = exp(-i w_k dt),
+    The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
-    the overlaps applied to the state and the phases multiplied into the
-    product, on chains of _STACK_SITES or more sites. A lone run (B = 1)
-    keeps its coefficients as a vector and steps them by o.dot(c); a stack
-    keeps them as rows (B, N) and steps them by _matvecs, which gives each
-    run the bits of a lone run where the matrix is complex and contiguous:
-    the real overlaps are cast so a block of steps at a time, not at each
-    product, and the bases the state enters and leaves a grid through once
-    per pass. A block's complex overlaps and its (steps, B, N) phases are
-    built in two reused buffers within 2 * _CHUNK_BYTES.
-    Returns a list of B pairs (final state, states), as _propagate returns
-    them for one run; states is None without store.
+        c_0 = p_0 * (v_0^H psi0),  c_k = p_k * (O_k c_(k-1)),  psi_k = v_k c_k,
+        O_k = v_k^H v_(k-1),  p_k = exp(-i w_k dt),
+
+    below _STACK_SITES sites as c_k = A_k c_(k-1), A_k = p_k[:, None] * O_k
+    (see the module docstring). A lone run (B = 1) keeps its coefficients
+    as a vector and steps them by a.dot(c); a stack keeps them as rows
+    (B, N) and steps them by one _matvecs a step, with the bits of a lone
+    run. A block of steps' (steps, B, N) phases and complex step matrices,
+    the A_k or the cast overlaps, are built in two reused buffers within
+    _CHUNK_BYTES. The state enters and leaves each grid, and each stored
+    state leaves the eigenbasis, run by run in a lone run's expressions.
+
+    chunks may be a list, walked at any dt, or a generator, decomposed as
+    it is stepped. They may walk one grid of matrices several times, as
+    evolve walks the grid of a cycle: each pass starts with a chunk whose
+    first is set, and the state re-enters the grid through the site
+    basis, c <- p_0 * (v_0^H (v_last c)), from the last eigenbasis of the
+    pass before, which its last chunk keeps (its index is odd).
+    Returns a list of B pairs (final state psi_(count-1), states): with
+    store, states is psi0 followed by every second psi_k (psi_1, psi_3,
+    ...), the states after whole CF4 steps, count // 2 + 1 of them, which
+    needs an even count, as CF4 gives; without store, None.
     """
     dts = np.asarray(dts, dtype=float)
-    b, n = len(dts), len(psi0)
-    lone = b == 1
-    dt, product = (dts[0], np.ndarray.dot) if lone else (dts[:, None], _matvecs)  # o.dot(c), not np.dot's dispatch
-    # steps whose complex overlaps and phases fit in two chunks, as _propagate's step matrices do
-    per = max(1, 2 * _CHUNK_BYTES // (16 * n * (n + b)))
+    psi0s = np.asarray(psi0s, dtype=complex).reshape(len(dts), -1)
+    b, n = psi0s.shape
+    schedules = list(schedules)
+    lone, matrix_form = b == 1, n < _STACK_SITES
+    if matrix_form:
+        def enter(v, psi):
+            return v.conj().T @ psi
+
+        def leave(v, c):
+            return v @ c
+    else:
+        def enter(v, psi):
+            return np.ascontiguousarray(v.conj().T, dtype=complex).dot(psi)
+
+        def leave(v, c):
+            return v.astype(complex).dot(c)
+    if lone:  # the schedule axis dropped: vectors c, phases (steps, N), matrices (steps, N, N)
+        dt, product, per_run = dts[0], np.ndarray.dot, (lambda x: x[:, 0])
+    else:  # the schedule axis broadcast over the runs of one schedule, or in run order already, or gathered
+        dt, product = dts[:, None], _matvecs
+        aligned = not any(schedules) or schedules == list(range(b))
+        per_run = (lambda x: x) if aligned else (lambda x: x[:, schedules])
+    runs = list(zip(schedules, dts))
     if store:
         states = np.empty((b, count // 2 + 1, n), dtype=complex)
         rows = states[0] if lone else states.swapaxes(0, 1)  # indexed by stored state, one int a step
+    # the index of the next matrix and of the next stored state, the coefficients, the last bases left through
     k, row, c, final = 0, 1, None, None
     for w, overlaps, first, bases in chunks:
         if first is not None:  # matrix 0 of a grid, entered from the site basis
             if c is None:
-                psi = psi0 if lone else np.broadcast_to(psi0, (b, n))
+                psi = psi0s
+                # the steps whose phases and complex step matrices fit in a chunk, and their two buffers
+                runs_shape = () if lone else (b,)
+                matrix_shape = runs_shape if matrix_form else per_run(overlaps[:1]).shape[1:-2]
+                per = max(1, _CHUNK_BYTES // (16 * n * (n * math.prod(matrix_shape) + b)))
                 block = min(per, len(w))
-                cast, buffer = np.empty((block, n, n), dtype=complex), np.empty((block,) + psi.shape, dtype=complex)
-            else:
-                psi = product(final, c)
-            c = np.exp(-1j * w[0] * dt) * product(np.ascontiguousarray(first.conj().T, dtype=complex), psi)
+                cast = np.empty((block, *matrix_shape, n, n), dtype=complex)
+                buffer = np.empty((block, *runs_shape, n), dtype=complex)
+            else:  # a later pass: leave the eigenbasis the last pass ended in
+                psi = [leave(final[s], ci) for (s, _), ci in zip(runs, [c] if lone else c)]
+            c = [np.exp(-1j * w[0, s] * step) * enter(first[s], p) for (s, step), p in zip(runs, psi)]
+            c = c[0] if lone else np.array(c)
             w, k = w[1:], k + 1
+        w, overlaps = per_run(w), per_run(overlaps)
         for start in range(0, len(w), per):
             part = w[start:start + per]
             matrices, phases = cast[:len(part)], buffer[:len(part)]
-            matrices[...] = overlaps[start:start + per]
-            np.exp(np.multiply(-1j * (part if lone else part[:, None]), dt, out=phases), out=phases)
-            steps = zip(phases, matrices)
-            if store:
-                for j, (p, o) in enumerate(steps, k + start):
-                    c = p * product(o, c)
-                    if j % 2:
+            np.exp(np.multiply(-1j * part, dt, out=phases), out=phases)
+            if matrix_form:
+                np.multiply(phases[..., None], overlaps[start:start + per], out=matrices)
+                for j, a in enumerate(matrices, k + start):
+                    c = product(a, c)
+                    if store and j % 2:
                         rows[j // 2 + 1] = c
             else:
-                for p, o in steps:
+                matrices[...] = overlaps[start:start + per]
+                for j, (p, o) in enumerate(zip(phases, matrices), k + start):
                     c = p * product(o, c)
+                    if store and j % 2:
+                        rows[j // 2 + 1] = c
         k += len(w)
         if store:  # leave the eigenbasis at this chunk's odd matrices
             done = slice(row, row + len(bases))
-            states[:, done] = np.matmul(bases, states[:, done, :, None])[..., 0]
+            for i, (s, _) in enumerate(runs):
+                states[i, done] = (bases[:, s] @ states[i, done, :, None])[..., 0]
             row = done.stop
-        final = bases[-1].astype(complex) if len(bases) else final
-    psi = product(final, c).reshape(b, n)
+        final = bases[-1] if len(bases) else final
+        del w, overlaps  # before the next chunk is decomposed
+    psi = [leave(final[s], ci) for (s, _), ci in zip(runs, [c] if lone else c)]
     if store:
-        states[:, 0] = psi0
-        states[:, -1] = psi
+        states[:, 0] = psi0s
+        states[:, -1] = psi  # the no-store expression, so the final state does not depend on store
     return list(zip(psi, states if store else itertools.repeat(None)))
-
-
-def _step_run(chunks, count, dt, psi0, store):
-    """One run's (final state, states) through the step form of its chain length."""
-    if len(psi0) < _STACK_SITES:
-        return _propagate(chunks, count, dt, psi0, store)
-    return _propagate_states(chunks, count, [dt], psi0, store)[0]
 
 
 def _step_count(duration: float, dt: float | None, cycle: float) -> int:
@@ -302,64 +281,92 @@ def _step_count(duration: float, dt: float | None, cycle: float) -> int:
 def schedule_key(spec: ChainSpec, protocol: PumpProtocol, dt: float | None = None) -> tuple:
     """What fixes the Hamiltonians evolve decomposes: the chain, the protocol
     at period 1 and the step count. Runs with equal keys, at any period,
-    share one eigendecomposition inside shared_decompositions(). dt is
-    checked by its callers, through EvolutionConfig or SweepSpec."""
+    step through the same matrices. dt is checked by its callers, through
+    EvolutionConfig or SweepSpec."""
     n_steps = _step_count(protocol.duration, dt, protocol.period)
     return spec, replace(protocol, period=1.0), n_steps
 
 
-@dataclass
+def stack_key(spec: ChainSpec, protocol: PumpProtocol, cfg: EvolutionConfig) -> tuple:
+    """What runs must share to step as one stack inside shared_decompositions:
+    the chain, the step count, the cycle count and store_states."""
+    _, unit, n_steps = schedule_key(spec, protocol, cfg.dt)
+    return spec, n_steps, unit.n_cycles, cfg.store_states
+
+
+def _step_stack(spec, runs, n_steps, store):
+    """The (final state, states) of each (protocol, psi0) of runs that share
+    the chain, n_steps, the cycle count and store: one stack through the
+    exponents of their distinct schedules.
+
+    The steps repeat every G = n_steps // gcd(n_steps, n_cycles), so one
+    grid of G steps is decomposed and walked gcd(n_steps, n_cycles) times.
+    Runs of one schedule hold its grid, decomposed once. Otherwise the
+    schedules' exponents are built and decomposed together a chunk at a
+    time as they are stepped, and again for each pass, so the stack holds
+    a chunk at a time, as a lone run does.
+    """
+    index = {}  # each distinct schedule's protocol at period 1 -> its place in the chunks
+    schedules = [index.setdefault(replace(protocol, period=1.0), len(index)) for protocol, _ in runs]
+    n_cycles = runs[0][0].n_cycles
+    passes = math.gcd(n_steps, n_cycles)
+    decompose = partial(_cf4_decomposition, spec, [partial(sample_trajectory, unit) for unit in index],
+                        n_steps // passes, n_cycles // passes, store)
+    if len(index) == 1 < len(runs):
+        grid = list(decompose())
+        chunks = itertools.chain.from_iterable(itertools.repeat(grid, passes))
+    else:
+        chunks = itertools.chain.from_iterable(decompose() for _ in range(passes))
+    return _propagate(chunks, 2 * n_steps, [protocol.duration / n_steps for protocol, _ in runs],
+                      [psi0 for _, psi0 in runs], store, schedules)
+
+
+def _run_keys(spec, protocol, psi0, cfg):
+    """A run's identity inside shared_decompositions, and its stack key."""
+    key = stack_key(spec, protocol, cfg)
+    return (protocol, psi0.tobytes(), key), key
+
+
 class _Block:
-    """What shared_decompositions(periods) holds: the periods it was told,
-    the decomposed grid of each (schedule key, store_states), and the runs
-    of a stack that evolve has stepped but not yet returned, by (schedule
-    key, store_states, psi0 bytes) and then period."""
+    """What shared_decompositions(runs) holds: the announced runs not yet
+    stepped, by stack key and then run, and the (final state, states) of
+    the runs a stack stepped that evolve has not yet returned, by run."""
 
-    periods: tuple
-    grids: dict = field(default_factory=dict)
-    runs: dict = field(default_factory=dict)
+    def __init__(self, runs):
+        self.pending, self.stepped = {}, {}
+        for spec, protocol, psi0, cfg in runs:
+            psi0 = _checked_state(psi0, spec.n_sites)
+            run, key = _run_keys(spec, protocol, psi0, cfg)
+            self.pending.setdefault(key, {})[run] = protocol, psi0
 
-    def step(self, key, store, psi0, protocol, decompose, passes):
-        """The (final state, states) of the run of protocol from psi0."""
-        grid = self.grids.get((key, store))
-        if grid is None:
-            grid = self.grids[key, store] = list(decompose())
-        spec, _, n_steps = key
-        walk = itertools.chain.from_iterable(itertools.repeat(grid, passes))
-        if spec.n_sites >= _STACK_SITES:
-            stacked = (key, store, psi0.tobytes())
-            if stacked not in self.runs and protocol.period in self.periods:
-                dts = [replace(protocol, period=period).duration / n_steps for period in self.periods]
-                self.runs[stacked] = dict(zip(self.periods, _propagate_states(walk, 2 * n_steps, dts, psi0, store)))
-            held = self.runs.get(stacked, {})
-            if protocol.period in held:
-                return held.pop(protocol.period)
-        return _step_run(walk, 2 * n_steps, protocol.duration / n_steps, psi0, store)
+    def step(self, spec, protocol, psi0, cfg):
+        """The (final state, states) of an announced run, stepping its stack
+        if this is the first evolve of it; None for a run not announced, or
+        already returned."""
+        run, key = _run_keys(spec, protocol, psi0, cfg)
+        if run in self.pending.get(key, ()):
+            stack, (_, n_steps, _, store) = self.pending.pop(key), key
+            self.stepped.update(zip(stack, _step_stack(spec, list(stack.values()), n_steps, store)))
+        return self.stepped.pop(run, None)
 
 
 _shared = ContextVar("shared_decompositions", default=None)
 
 
 @contextmanager
-def shared_decompositions(periods=()):
-    """Inside the block, evolve decomposes the grid of steps of each
-    (schedule key, store_states), one cycle where the steps tile a cycle,
-    once, and walks it for every pass of every run of that key; every
-    decomposition is dropped when the block ends. Runs of one key that
-    differ in store_states decompose its matrices once each, since they
-    keep different eigenbases.
+def shared_decompositions(runs=()):
+    """Inside the block, the announced runs step as stacks.
 
-    periods are the periods the block's runs will take. On a chain of
-    _STACK_SITES or more sites, the first evolve of each (schedule key,
-    store_states, psi0) at one of them steps all of them as one stack
-    through the key's grid (see _propagate_states), at dt =
-    replace(protocol, period=p).duration / n_steps, and keeps their final
-    states and states until their own evolve calls return them; a run at
-    another period, or at a period already returned, is stepped alone.
-    Every run has the bits of the same run outside the block. So the
-    listed periods should share one step count, as those of a sweep group
-    or of efficiency_vs_period do: each key they span steps all of them."""
-    token = _shared.set(_Block(tuple(dict.fromkeys(map(float, periods)))))
+    runs are evolve's arguments (spec, protocol, psi0, cfg) of the runs the
+    block will take. The first evolve of an announced run steps every
+    announced run of its stack_key, the same chain, step count, cycle count
+    and store_states, as one (B, N) stack (see _step_stack and _propagate),
+    and keeps their final states and states until their own evolve calls
+    return them. A run whose protocol, psi0, step count or store_states
+    was not announced, or that was already returned, steps alone, as
+    outside the block. Every run has the bits of the same run outside the
+    block; whatever the block keeps is dropped when it ends."""
+    token = _shared.set(_Block(runs))
     try:
         yield
     finally:
@@ -368,8 +375,8 @@ def shared_decompositions(periods=()):
 
 def _chain_eigh(h):
     """Eigenvalues and eigenvectors (w, v) of a stack of chain Hamiltonians
-    as build_hamiltonians makes them, shape (M, N, N), through the odd-site
-    block of H^2; w is not sorted.
+    as build_hamiltonians makes them, shape (..., N, N), through the
+    odd-site block of H^2; w is not sorted.
 
     On the odd sites 1, 3, ... H is d = h[:, 0, 0], on the even sites -d,
     and every bond joins an odd site to an even one, through Q =
@@ -387,8 +394,9 @@ def _chain_eigh(h):
     reached 1,100 eps |H|, against 9.4 eps |H| for np.linalg.eigh. On the
     pump stacks of the shipped protocols it stays at or below 18 eps |H|.
     """
-    m, n = h.shape[:2]
-    pairs = n // 2
+    stack, n = h.shape[:-2], h.shape[-1]
+    h = h.reshape(-1, n, n)
+    m, pairs = len(h), n // 2
     d, q = h[:, 0, 0].copy(), h[:, 0::2, 1::2].copy()
     del h  # frees the stack where the caller holds no other reference, as in _cf4_decomposition
     block = q @ q.swapaxes(1, 2)
@@ -408,19 +416,20 @@ def _chain_eigh(h):
     v[:, 0::2, 2 * pairs:] = u[:, :, pairs:]
     radius = np.hypot(d[:, None], r)
     w = np.concatenate([-radius, radius, np.repeat(d[:, None], n - 2 * pairs, axis=1)], axis=1)
-    return w, v
+    return w.reshape(*stack, n), v.reshape(*stack, n, n)
 
 
 def _eigen_chunks(decompositions, count, store):
-    """Turn the eigendecompositions (w, v) of count Hermitian matrices,
-    given as consecutive stacks, into what _propagate steps with: per
-    stack, (w, overlaps, first, bases). The CF4 exponents come from
-    _chain_eigh, in no order of eigenvalue; a generic stack from
-    np.linalg.eigh. The overlaps absorb the order.
+    """Turn the eigendecompositions (w, v) of count steps of S Hermitian
+    matrices each, given as consecutive stacks of shape (m, S, N) and
+    (m, S, N, N), into what _propagate steps with: per stack, (w, overlaps,
+    first, bases). The CF4 exponents come from _chain_eigh, in no order of
+    eigenvalue; a generic stack from np.linalg.eigh. The overlaps absorb
+    the order.
 
     w holds the stack's eigenvalues and overlaps the v_k^H v_(k-1) of its
-    matrices k > 0, the first of a later stack taken against the last
-    eigenbasis of the one before. first is v_0 in the first stack and None
+    steps k > 0, the first of a later stack taken against the last
+    eigenbases of the one before. first is v_0 in the first stack and None
     after. bases are the eigenbases _propagate leaves the eigenbasis
     through: the odd-numbered ones with store, else the last one, in the
     last stack. Each is a copy, so a held chunk keeps no stack of
@@ -428,7 +437,7 @@ def _eigen_chunks(decompositions, count, store):
     """
     start, previous = 0, None
     for w, v in decompositions:  # each stack is dropped once its chunk is made
-        vh = (v.conj() if np.iscomplexobj(v) else v).swapaxes(1, 2)
+        vh = (v.conj() if np.iscomplexobj(v) else v).swapaxes(-1, -2)
         if previous is None:
             overlaps, first = vh[1:] @ v[:-1], v[0].copy()
         else:
@@ -442,29 +451,41 @@ def _eigen_chunks(decompositions, count, store):
         start, previous = start + len(v), v[-1].copy()
         del v, vh  # so that the next stack is decomposed without these eigenvectors
         yield w, overlaps, first, bases
+        del w, overlaps, bases  # nor this chunk, once its consumer has let it go
 
 
 def _cf4_decomposition(spec, couplings, n_steps, span, store):
     """_eigen_chunks of the CF4 exponents of n_steps equal steps over
-    [0, span], interleaved M1, M2 step by step: 2 n_steps real symmetric
-    matrices, a generator.
+    [0, span] of each of S schedules, interleaved M1, M2 step by step:
+    2 n_steps steps of S real symmetric matrices, a generator.
 
-    couplings maps an array of times to (J1, J2, delta) arrays of its
-    shape. H is linear in them, so each exponent is the Hamiltonian of the
-    weighted couplings at the step's two Gauss nodes, and a chain
-    Hamiltonian, which _chain_eigh decomposes through its odd-site block
-    of H^2. The Hamiltonians are built and decomposed a chunk of
-    _CHUNK_BYTES at a time, so no full stack of them exists; every eigh,
-    QR and product in _chain_eigh works on each matrix on its own, so the
-    chunking does not change a bit.
+    couplings holds, for each schedule, a function that maps an array of
+    times to (J1, J2, delta) arrays of its shape. H is linear in them, so
+    each exponent is the Hamiltonian of the weighted couplings at the
+    step's two Gauss nodes, and a chain Hamiltonian, which _chain_eigh
+    decomposes through its odd-site block of H^2. The Hamiltonians of all
+    schedules are built and decomposed together, a chunk at a time: as many
+    matrices as one schedule's chunk of _CHUNK_BYTES, or its whole grid if
+    that is smaller, and at least one exponent of each schedule. So a stack
+    takes about as much memory as a lone run, besides its couplings, and no
+    full stack of Hamiltonians exists. Every eigh, QR and product in
+    _chain_eigh works on each matrix on its own, so neither the chunking
+    nor the other schedules change a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
-    c = np.asarray(couplings(nodes))  # (J1, J2, delta) at both nodes of every step
-    weighted = np.stack([_A1 * c[..., 0] + _A2 * c[..., 1], _A2 * c[..., 0] + _A1 * c[..., 1]], axis=-1).reshape(3, -1)
-    n = spec.n_sites
-    chunk = max(1, _CHUNK_BYTES // (8 * n * n))
-    decompositions = (_chain_eigh(build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted)))
-                      for start in range(0, 2 * n_steps, chunk))
+    n, s = spec.n_sites, len(couplings)
+    weighted = np.empty((3, n_steps, 2, s))  # the weighted (J1, J2, delta) of M1 and M2 of every step and schedule
+    for k, schedule in enumerate(couplings):
+        c = np.asarray(schedule(nodes))  # (J1, J2, delta) at both nodes of every step
+        weighted[:, :, 0, k] = _A1 * c[..., 0] + _A2 * c[..., 1]
+        weighted[:, :, 1, k] = _A2 * c[..., 0] + _A1 * c[..., 1]
+    weighted = weighted.reshape(3, -1)  # exponent by exponent, the S schedules of each together
+    chunk = s * max(1, min(2 * n_steps, _CHUNK_BYTES // (8 * n * n)) // s)
+
+    def hamiltonians(start):  # a chunk's exponents, (exponents, S, N, N)
+        return build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted)).reshape(-1, s, n, n)
+
+    decompositions = (_chain_eigh(hamiltonians(start)) for start in range(0, weighted.shape[1], chunk))
     return _eigen_chunks(decompositions, 2 * n_steps, store)
 
 
@@ -488,25 +509,22 @@ def evolve(
 
     The Gauss nodes of step j sit at cycle phases (j + 1/2 -+ sqrt(3)/6)
     n_cycles / n_steps, times the period, so runs at different periods with
-    the same step count decompose the same matrices, once per schedule key
-    inside shared_decompositions(). The pump repeats every cycle, so the
-    nodes repeat every G = n_steps // gcd(n_steps, n_cycles) steps: the
-    exponents of the first G steps are decomposed and walked
-    gcd(n_steps, n_cycles) times. A later pass thus takes the first pass's
-    node phases, not those plus whole cycles, which differ in the last bits.
+    the same step count step through the same matrices. The pump repeats
+    every cycle, so the nodes repeat every G = n_steps // gcd(n_steps,
+    n_cycles) steps: the exponents of the first G steps are decomposed and
+    walked gcd(n_steps, n_cycles) times (see _step_stack), a lone run's
+    grid decomposed again for each pass as it is stepped. A later pass thus
+    takes the first pass's node phases, not those plus whole cycles, which
+    differ in the last bits. Inside shared_decompositions(runs) an
+    announced run is stepped with the other runs of its stack, with the
+    same bits.
     """
     psi0 = _checked_state(psi0, spec.n_sites)
-    key = schedule_key(spec, protocol, cfg.dt)
-    _, unit, n_steps = key
-    passes = math.gcd(n_steps, unit.n_cycles)  # the steps repeat every n_steps // passes
-    decompose = partial(_cf4_decomposition, spec, partial(sample_trajectory, unit), n_steps // passes,
-                        unit.n_cycles // passes, cfg.store_states)
+    n_steps = _step_count(protocol.duration, cfg.dt, protocol.period)
     block = _shared.get()
-    if block is None:  # outside shared_decompositions(): each pass stepped as it is decomposed
-        chunks = itertools.chain.from_iterable(decompose() for _ in range(passes))
-        stepped = _step_run(chunks, 2 * n_steps, protocol.duration / n_steps, psi0, cfg.store_states)
-    else:  # one grid held for every run of its key, and of its store_states, in the block
-        stepped = block.step(key, cfg.store_states, psi0, protocol, decompose, passes)
+    stepped = None if block is None else block.step(spec, protocol, psi0, cfg)
+    if stepped is None:
+        stepped = _step_stack(spec, [(protocol, psi0)], n_steps, cfg.store_states)[0]
     return _record(spec, stepped, n_steps, protocol.duration, psi0, protocol)
 
 
@@ -558,6 +576,12 @@ def initial_dimer_state(
     psi = np.zeros(spec.n_sites, dtype=complex)
     psi[a - 1], psi[b - 1] = vec
     return psi
+
+
+def start_state(spec: ChainSpec, protocol: PumpProtocol, cell_index: int = 1, branch: str = "lower") -> np.ndarray:
+    """The dimer state of a cell at the protocol's point at t = 0, where a pump
+    run starts (see initial_dimer_state)."""
+    return initial_dimer_state(spec, sample_trajectory(protocol, 0.0), cell_index, branch)
 
 
 def cell_populations(psi: np.ndarray, spec: ChainSpec) -> np.ndarray:
@@ -619,6 +643,6 @@ def stirap_sequence(
         return envs[1], envs[2], np.zeros(np.shape(t))
 
     n_steps = _step_count(duration, cfg.dt, duration)
-    chunks = _cf4_decomposition(spec, couplings, n_steps, duration, cfg.store_states)
-    return _record(spec, _propagate(chunks, 2 * n_steps, duration / n_steps, psi0, cfg.store_states), n_steps,
-                   duration, psi0)
+    chunks = _cf4_decomposition(spec, [couplings], n_steps, duration, cfg.store_states)
+    stepped = _propagate(chunks, 2 * n_steps, [duration / n_steps], [psi0], cfg.store_states)[0]
+    return _record(spec, stepped, n_steps, duration, psi0)

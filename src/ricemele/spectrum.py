@@ -170,12 +170,17 @@ def predict_optimal_period(protocol: PumpProtocol) -> float:
     return TWO_PI / width
 
 
+def _efficiency_run(spec, protocol, start_cell, branch, dt):
+    """evolve's arguments for transport_efficiency."""
+    psi0 = evolution.start_state(spec, protocol, start_cell, branch)
+    return spec, protocol, psi0, evolution.EvolutionConfig(dt=dt, store_states=False)
+
+
 def transport_efficiency(spec: ChainSpec, protocol: PumpProtocol, start_cell: int = 1,
                          branch: str = "lower", dt: float | None = None) -> float:
     """Efficiency into target_cell after n_cycles from start_cell's dimer state,
     stepped by dt, one CF4 step (see evolution); dt=None takes 512 per period."""
-    psi0 = evolution.initial_dimer_state(spec, sample_trajectory(protocol, 0.0), start_cell, branch)
-    record = evolution.evolve(spec, protocol, psi0, evolution.EvolutionConfig(dt=dt, store_states=False))
+    record = evolution.evolve(*_efficiency_run(spec, protocol, start_cell, branch, dt))
     return evolution.transfer_efficiency(record, target_cell(spec, start_cell, branch, protocol.n_cycles))
 
 
@@ -197,16 +202,15 @@ def efficiency_vs_period(
 ) -> np.ndarray:
     """transport_efficiency for every period in the grid, dt_per_cycle steps per period.
 
-    Every period steps through the same cycle phases, so one
-    eigendecomposition serves the whole grid, and a long chain steps the
-    periods as one stack; both are dropped on return.
+    Every period steps through the same cycle phases, so the runs are
+    announced to one shared_decompositions block: they step as one stack
+    through one decomposition, which is dropped on return.
     """
-    with evolution.shared_decompositions([float(period) for period in period_grid]):
-        return np.array([
-            transport_efficiency(spec, replace(protocol_template, period=float(period)),
-                                 start_cell, branch, float(period) / dt_per_cycle)
-            for period in period_grid
-        ])
+    runs = [_efficiency_run(spec, replace(protocol_template, period=float(period)), start_cell, branch,
+                            float(period) / dt_per_cycle) for period in period_grid]
+    target = target_cell(spec, start_cell, branch, protocol_template.n_cycles)
+    with evolution.shared_decompositions(runs):
+        return np.array([evolution.transfer_efficiency(evolution.evolve(*run), target) for run in runs])
 
 
 def smooth_moving_average(x: np.ndarray, y: np.ndarray, window: float) -> np.ndarray:

@@ -1,18 +1,19 @@
 """Experiment drivers that map pump performance over parameter grids.
 
 Each sweep kind is one entry of a table: its defaults, its axes, its
-output columns and the function that evaluates one grid point. One
-engine walks the grid, groups the points that share a Hamiltonian
-schedule, evaluates the groups (serially, or with jobs > 1 in a process
-pool that takes one group at a time), reduces into an index-addressed
-matrix, and serializes to a self-describing CSV plus a JSON mirror.
+output columns, the runs of one grid point and the function that reduces
+them to a row. One engine walks the grid, groups the points whose runs
+can step as one stack (the same chain, step count, cycle count and
+store_states), evaluates the groups (serially, or with jobs > 1 in a
+process pool that takes one part of a group at a time), reduces into an
+index-addressed matrix, and serializes to a self-describing CSV plus a
+JSON mirror.
 Identical sweep specs produce bit-identical outputs regardless of worker
 count.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field, replace
 from functools import partial
 import itertools
@@ -25,21 +26,17 @@ from . import __version__, defaults, evolution, protocols
 from .config import (chain_to_dict, config_hash, float_rows, protocol_to_dict, pyify, read, refuse_unknown_keys,
                      write_json, write_lines)
 from .model import TWO_PI, ChainSpec
-from .protocols import PumpProtocol, sample_trajectory
-from .spectrum import (find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average,
-                       transport_efficiency)
+from .protocols import PumpProtocol, sample_trajectory  # noqa: F401  (bench/tracing.py rebinds it here)
+from .spectrum import find_optimal_period, max_band_width, predict_optimal_period, smooth_moving_average, target_cell
 
 
-def _efficiency_row(spec, chain, protocol, start_cell):
-    return (transport_efficiency(chain, protocol, start_cell, spec.branch, spec.dt),)
+def _efficiency_row(spec, chain, protocol, start_cell, records):
+    """The efficiency of each of the point's runs into the cell its pump targets."""
+    target = target_cell(chain, start_cell, spec.branch, protocol.n_cycles)
+    return tuple(evolution.transfer_efficiency(record, target) for record in records)
 
 
-def _compare_row(spec, chain, protocol, start_cell):
-    return tuple(transport_efficiency(chain, replace(protocol, kind=kind), start_cell, spec.branch, spec.dt)
-                 for kind in protocols.KINDS)
-
-
-def _topt_row(spec, chain, protocol, start_cell):
+def _topt_row(spec, chain, protocol, start_cell, records):
     width = max_band_width(protocol)
     scan_grid = spec.scan_grid
     if len(scan_grid) == 0:
@@ -50,23 +47,25 @@ def _topt_row(spec, chain, protocol, start_cell):
     return (1.0 / width, t_opt)
 
 
-def _mean_position_row(spec, chain, protocol, start_cell):
-    psi0 = evolution.initial_dimer_state(chain, sample_trajectory(protocol, 0.0), start_cell, spec.branch)
-    record = evolution.evolve(chain, protocol, psi0, evolution.EvolutionConfig(dt=spec.dt, store_states=False))
-    mean, spread = evolution.mean_position_and_spread(record.final_state, chain)
+def _mean_position_row(spec, chain, protocol, start_cell, records):
+    mean, spread = evolution.mean_position_and_spread(records[0].final_state, chain)
     return (mean - start_cell, spread)
 
 
-# kind -> (defaults, axis names in row-major order, output columns, row function).
-# A row function takes (spec, chain, protocol, start_cell), where chain and
-# protocol already carry the grid point's axis values, and returns one row.
+# kind -> (defaults, axis names in row-major order, output columns, the
+# protocol kinds of a point's evolve runs, None for the point's own, row
+# function). A row function takes (spec, chain, protocol, start_cell,
+# records), where chain and protocol already carry the grid point's axis
+# values and records are its runs' EvolutionRecords, and returns one row.
 _KINDS = {
-    "offset": (defaults.OFFSET_SWEEP, ("delta0", "delta_offset"), ("efficiency",), _efficiency_row),
-    "period_delta": (defaults.PERIOD_DELTA_SWEEP, ("period", "delta0"), ("efficiency",), _efficiency_row),
-    "protocol_compare": (defaults.PROTOCOL_COMPARE_SWEEP, ("period",), protocols.KINDS, _compare_row),
-    "topt_collapse": (defaults.TOPT_COLLAPSE_SWEEP, ("j_max", "delta0"), ("inv_band_width", "t_opt"), _topt_row),
-    "mean_position": (defaults.MEAN_POSITION_SWEEP, ("period",), ("shift", "sigma"), _mean_position_row),
-    "size": (defaults.SIZE_SWEEP, ("n_sites", "period"), ("efficiency",), _efficiency_row),
+    "offset": (defaults.OFFSET_SWEEP, ("delta0", "delta_offset"), ("efficiency",), (None,), _efficiency_row),
+    "period_delta": (defaults.PERIOD_DELTA_SWEEP, ("period", "delta0"), ("efficiency",), (None,), _efficiency_row),
+    "protocol_compare": (defaults.PROTOCOL_COMPARE_SWEEP, ("period",), protocols.KINDS, protocols.KINDS,
+                         _efficiency_row),
+    "topt_collapse": (defaults.TOPT_COLLAPSE_SWEEP, ("j_max", "delta0"), ("inv_band_width", "t_opt"), (),
+                      _topt_row),
+    "mean_position": (defaults.MEAN_POSITION_SWEEP, ("period",), ("shift", "sigma"), (None,), _mean_position_row),
+    "size": (defaults.SIZE_SWEEP, ("n_sites", "period"), ("efficiency",), (None,), _efficiency_row),
 }
 KINDS = tuple(_KINDS)
 
@@ -136,14 +135,12 @@ class SweepResult:
 
 
 def _run_group(tasks):
-    """Evaluate (callable, args) pairs that share a Hamiltonian schedule,
-    decomposing it once; the block is told the periods of the protocols
-    among the tasks' arguments, so a long chain steps them as one stack. A
-    lone task has nothing to share, so its runs stream their exponents as a
-    direct evolve call does."""
-    periods = [arg.period for _, args in tasks for arg in args if isinstance(arg, PumpProtocol)]
-    with evolution.shared_decompositions(periods) if len(tasks) > 1 else contextlib.nullcontext():
-        return [fn(*args) for fn, args in tasks]
+    """Evaluate (row function, args, runs) tasks: each row from its args and
+    the records of its runs, evolve's arguments. Every run is announced to
+    one shared_decompositions block, so the runs of each stack key step as
+    one stack at the first evolve of any of them."""
+    with evolution.shared_decompositions([run for _, _, runs in tasks for run in runs]):
+        return [row(*args, [evolution.evolve(*run) for run in runs]) for row, args, runs in tasks]
 
 
 def _pool_context():
@@ -177,23 +174,35 @@ def _run_groups(groups, jobs):
         return list(pool.map(_run_group, groups))
 
 
+def _parts(schedules, jobs):
+    """The points of one stack key, given schedule by schedule, in at most
+    jobs contiguous parts that each keep every point of a schedule: one
+    part for points that share one schedule, which then share its grid."""
+    n = min(jobs, len(schedules))
+    bounds = [len(schedules) * i // n for i in range(n + 1)]
+    return [[point for points in schedules[lo:hi] for point in points] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the kind's row function at every grid point, in row-major order.
 
     Each point is mapped onto the spec: an n_sites value replaces the chain's
     site count, every other axis value the protocol field of its name.
     The center_sizes chains start in the center cell, the others in
-    spec.start_cell. Points with the same evolution.schedule_key run one
-    after another and share its eigendecompositions, which are dropped
-    once their group is done.
+    spec.start_cell. Points with the same evolution.stack_key form one
+    group, whose runs step as one stack (see _run_group). With jobs > 1 a
+    group of several schedules is cut into at most jobs parts of whole
+    schedules, which the pool takes one at a time; a group of one schedule
+    is never cut, so its points share one decomposition.
     """
-    _, axis_names, columns, row = _KINDS[spec.kind]
+    _, axis_names, columns, kinds, row = _KINDS[spec.kind]
     missing = [name for name in axis_names if name not in spec.axes]
     unexpected = [name for name in spec.axes if name not in axis_names]
     if missing or unexpected:
         raise ValueError(f"{spec.kind} sweep takes axes {axis_names}: "
                          f"missing {missing}, unexpected {unexpected}")
-    groups = {}  # schedule key -> [(row index, task)], in order of first appearance
+    cfg = evolution.EvolutionConfig(dt=spec.dt, store_states=False)
+    groups = {}  # stack key -> schedule key -> [(row index, task)], in order of first appearance
     for index, values in enumerate(itertools.product(*(spec.axes[name] for name in axis_names))):
         point = dict(zip(axis_names, values))
         chain = spec.chain
@@ -201,12 +210,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             chain = replace(chain, n_sites=int(point.pop("n_sites")))
         protocol = replace(spec.protocol, **{name: float(v) for name, v in point.items()})
         start_cell = (chain.n_cells + 1) // 2 if chain.n_sites in spec.center_sizes else spec.start_cell
-        key = evolution.schedule_key(chain, protocol, spec.dt)
-        groups.setdefault(key, []).append((index, (row, (spec, chain, protocol, start_cell))))
-    rows = [None] * sum(map(len, groups.values()))
-    results = _run_groups([[task for _, task in group] for group in groups.values()], spec.jobs)
-    for group, group_rows in zip(groups.values(), results):
-        for (index, _), values in zip(group, group_rows):
+        point_protocols = [protocol if kind is None else replace(protocol, kind=kind) for kind in kinds]
+        runs = [(chain, p, evolution.start_state(chain, p, start_cell, spec.branch), cfg) for p in point_protocols]
+        schedules = groups.setdefault(evolution.stack_key(chain, protocol, cfg), {})
+        task = (row, (spec, chain, protocol, start_cell), runs)
+        schedules.setdefault(evolution.schedule_key(chain, protocol, spec.dt), []).append((index, task))
+    parts = [part for schedules in groups.values() for part in _parts(list(schedules.values()), spec.jobs)]
+    rows = [None] * sum(map(len, parts))
+    for part, part_rows in zip(parts, _run_groups([[task for _, task in part] for part in parts], spec.jobs)):
+        for (index, _), values in zip(part, part_rows):
             rows[index] = values
     return SweepResult(
         kind=spec.kind,
@@ -248,7 +260,7 @@ def build_sweep_spec(kind: str, section: dict | None = None, jobs: int = 1,
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}")
-    base, axis_names, _, _ = _KINDS[kind]
+    base, axis_names = _KINDS[kind][:2]
     section = dict(section or {})
     # a field is read under its _SECTION_KEYS key, except n_sites off the axes, read as "n_sites"
     keys = sorted({_SECTION_KEYS[name][0] if name in _SECTION_KEYS and (name in axis_names or name != "n_sites")

@@ -1,4 +1,5 @@
-"""Replays the acceptance verdict lines after the run; counts eigh calls.
+"""Replays the acceptance verdict lines after the run; counts eigh calls
+and the runs of each stepping call.
 
 Output capture swallows prints from passing tests, so the acceptance
 tests append their PASS|FAIL lines to the session-scoped verdict log
@@ -41,3 +42,15 @@ def eigh_matrices(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return lambda size: counts.get(size, 0)
+
+
+@pytest.fixture
+def propagate_stacks(monkeypatch):
+    """The number of runs of each evolution._propagate call since the test
+    began, in order: 1 for a lone run, B for a stack of B runs."""
+    from ricemele import evolution
+
+    stacks, step = [], evolution._propagate
+    monkeypatch.setattr(evolution, "_propagate",
+                        lambda chunks, count, dts, *rest: stacks.append(len(dts)) or step(chunks, count, dts, *rest))
+    return stacks

@@ -38,8 +38,8 @@ def start_state(chain=CHAIN, proto=PROTO, cell=1, branch="lower"):
 def propagate(hs, dt, psi, store=False):
     """exp(-i h dt) for each Hermitian h of the stack hs in turn, applied to
     psi by the stepping core: the final state and, with store, the states."""
-    out = evolution._propagate(evolution._eigen_chunks(map(np.linalg.eigh, [hs]), len(hs), store), len(hs), dt,
-                               psi, store)
+    chunks = evolution._eigen_chunks(map(np.linalg.eigh, [hs[:, None]]), len(hs), store)  # one schedule
+    out = evolution._propagate(chunks, len(hs), [dt], [psi], store)[0]
     return out if store else out[0]
 
 
@@ -188,11 +188,11 @@ def test_chunked_decomposition_equals_whole_stack_eigh(monkeypatch, n_sites):
     # 3 exponents per chunk: chunks split steps' M1, M2 pairs, and 200 = 66 * 3 + 2 ends short
     monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 8 * n_sites**2)
     for store in (True, False):
-        w, overlaps, first, bases = zip(*evolution._cf4_decomposition(chain, couplings, 100, PROTO.duration, store))
-        assert np.array_equal(np.concatenate(w), expected) and np.array_equal(first[0], v[0])
+        w, overlaps, first, bases = zip(*evolution._cf4_decomposition(chain, [couplings], 100, PROTO.duration, store))
+        assert np.array_equal(np.concatenate(w)[:, 0], expected) and np.array_equal(first[0][0], v[0])
         assert all(f is None for f in first[1:])
-        assert np.array_equal(np.concatenate(overlaps), v[1:].conj().swapaxes(1, 2) @ v[:-1])
-        assert np.array_equal(np.concatenate(bases), v[1::2] if store else v[-1:])
+        assert np.array_equal(np.concatenate(overlaps)[:, 0], v[1:].conj().swapaxes(1, 2) @ v[:-1])
+        assert np.array_equal(np.concatenate(bases)[:, 0], v[1::2] if store else v[-1:])
 
 
 def held_bytes(chunks):
@@ -204,7 +204,7 @@ def test_decomposition_holds_its_output_and_a_few_chunks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        chunks = list(evolution._cf4_decomposition(chain, lambda t: sample_trajectory(PROTO, t), 512,
+        chunks = list(evolution._cf4_decomposition(chain, [lambda t: sample_trajectory(PROTO, t)], 512,
                                                    PROTO.duration, False))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -250,18 +250,18 @@ def test_step_reversal_recovers_state(n, n_matrices, dt, complex_h, seed):
 @given(n_sites=st.integers(2, 12), steps=st.integers(1, 300), periods=st.lists(st.floats(0.2, 5.0), min_size=2,
        max_size=2), n_cycles=st.integers(1, 4), store=st.booleans(), chunk_matrices=st.integers(1, 40))
 def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, n_cycles, store, chunk_matrices):
-    """A run at T2 that steps through the decomposition a run at T1 left
-    inside shared_decompositions() equals a run at T2 that nothing shares,
-    stepped as it is decomposed: the shared run walks one held grid of
-    steps once per pass, the streamed one decomposes it again each pass,
-    also where the step count does not divide into the cycles."""
+    """Runs at T1 and T2 announced to shared_decompositions() step as one
+    stack through one held grid of steps, walked once per pass; the run at
+    T2 equals a run at T2 that nothing shares, stepped as it is decomposed
+    and decomposed again each pass, also where the step count does not
+    divide into the cycles."""
     chain = ChainSpec(n_sites)
     first, second = (replace(PROTO, period=period, n_cycles=n_cycles) for period in periods)
     psi0 = start_state(chain, PROTO)
     cfgs = [EvolutionConfig(dt=proto.duration / steps, store_states=store) for proto in (first, second)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution, "_CHUNK_BYTES", chunk_matrices * 8 * n_sites**2)
-        with evolution.shared_decompositions():
+        with evolution.shared_decompositions([(chain, first, psi0, cfgs[0]), (chain, second, psi0, cfgs[1])]):
             evolve(chain, first, psi0, cfgs[0])
             shared = evolve(chain, second, psi0, cfgs[1])
         alone = evolve(chain, second, psi0, cfgs[1])
@@ -271,67 +271,80 @@ def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, n_c
 @pytest.mark.parametrize("n_cycles, n_steps", [(1, 12), (2, 12), (3, 12), (4, 12), (2, 7), (3, 10), (4, 6)])
 def test_shared_runs_decompose_one_grid_of_steps(eigh_matrices, n_cycles, n_steps):
     """The steps of a k-cycle run repeat every n_steps / gcd(n_steps, k)
-    steps, so the runs of one key inside shared_decompositions() decompose
-    that grid's exponents once, 2 n_steps / gcd(n_steps, k) of them."""
-    with evolution.shared_decompositions():
-        for period in (0.5, 0.8):
-            proto = replace(PROTO, period=period, n_cycles=n_cycles)
-            evolve(CHAIN, proto, start_state(), EvolutionConfig(dt=proto.duration / n_steps, store_states=False))
+    steps, so the announced runs of one schedule key inside
+    shared_decompositions() decompose that grid's exponents once,
+    2 n_steps / gcd(n_steps, k) of them."""
+    runs = [(CHAIN, proto, start_state(), EvolutionConfig(dt=proto.duration / n_steps, store_states=False))
+            for proto in (replace(PROTO, period=period, n_cycles=n_cycles) for period in (0.5, 0.8))]
+    with evolution.shared_decompositions(runs):
+        for run in runs:
+            evolve(*run)
     assert eigh_matrices(3) == 2 * n_steps // math.gcd(n_steps, n_cycles)
 
 
+def same_records(a, b):
+    return np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times) and a.dt == b.dt
+
+
 @pytest.mark.parametrize("store", [True, False])
-@pytest.mark.parametrize("n_sites", [24, 30, 31])
-def test_period_stack_equals_lone_runs_bit_for_bit(eigh_matrices, n_sites, store):
-    """Inside shared_decompositions(periods) a chain of _STACK_SITES or more
-    sites steps the listed periods as one stack at its first run; each run
-    keeps the bits of the same run outside the block, and so do a period
-    left off the list, a listed period run again and a second psi0, which
-    are stepped alone through the same grid."""
-    assert n_sites >= evolution._STACK_SITES
-    chain, cfg = ChainSpec(n_sites), EvolutionConfig(store_states=store)
-    listed, unlisted = [0.4, 1.3, 0.7], 0.9
-    psi0, other = start_state(chain, PROTO, 7), start_state(chain, PROTO, 3)
-    runs = [(psi0, p) for p in listed] + [(psi0, unlisted), (other, listed[1]), (psi0, listed[0])]
-    alone = [evolve(chain, replace(PROTO, period=p), psi, cfg) for psi, p in runs]
-    before = eigh_matrices((n_sites + 1) // 2)
-    with evolution.shared_decompositions(listed):
-        shared = [evolve(chain, replace(PROTO, period=p), psi, cfg) for psi, p in runs]
-    # one cycle's grid of 512 steps, two exponents a step, for the whole block
-    assert eigh_matrices((n_sites + 1) // 2) - before == 2 * 512
-    for a, b in zip(alone, shared):
-        assert np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times) and a.dt == b.dt
+@pytest.mark.parametrize("n_sites", [5, 12, 24, 30, 31])
+def test_period_stack_equals_lone_runs_bit_for_bit(propagate_stacks, eigh_matrices, n_sites, store):
+    """Inside shared_decompositions(runs) the announced periods and start
+    states of one schedule step as one stack, in the step form of their
+    chain length, at the first evolve of any of them, through one grid.
+    Each run keeps the bits of the same run outside the block, and so do
+    the runs that step alone: a period, a store_states and a dt that were
+    not announced, and an announced run evolved again."""
+    chain, size, cfg = ChainSpec(n_sites), (n_sites + 1) // 2, EvolutionConfig(store_states=store)
+    psi0, other = start_state(chain, PROTO, (chain.n_cells + 1) // 2), start_state(chain, PROTO, 1)
+    announced = [(psi0, 0.4, cfg), (psi0, 1.3, cfg), (other, 1.3, cfg), (psi0, 0.7, cfg)]
+    unannounced = [(psi0, 0.9, cfg), (psi0, 0.4, replace(cfg, store_states=not store)),
+                   (psi0, 0.4, replace(cfg, dt=0.4 / 256)), (psi0, 0.4, cfg)]
+    runs = [(chain, replace(PROTO, period=p), psi, c) for psi, p, c in announced + unannounced]
+    alone = [evolve(*run) for run in runs[:len(announced)]]
+    before = eigh_matrices(size)
+    alone += [evolve(*run) for run in runs[len(announced):]]
+    lone = eigh_matrices(size) - before
+    propagate_stacks.clear()
+    before = eigh_matrices(size)
+    with evolution.shared_decompositions(runs[:len(announced)]):
+        shared = [evolve(*run) for run in runs]
+    # one cycle's grid of 512 steps, two exponents a step, for the whole stack
+    assert eigh_matrices(size) - before == 2 * 512 + lone
+    assert propagate_stacks == [len(announced)] + [1] * len(unannounced)
+    assert all(same_records(a, b) for a, b in zip(alone, shared))
 
 
 def test_listed_periods_of_other_step_counts_keep_their_bits():
-    """At a fixed dt the listed periods take 100, 104 and 180 steps, three
-    schedule keys: a stack stepped at one key's count is never returned to
-    a run of another, and every run keeps its lone bits."""
+    """At a fixed dt the announced periods take 100, 104 and 180 steps,
+    three stack keys: a stack stepped at one key's count is never returned
+    to a run of another, and every run keeps its lone bits."""
     chain, periods = ChainSpec(24), [0.5, 0.52, 0.9]
     psi0, cfg = start_state(chain, PROTO, 5), EvolutionConfig(dt=0.01, store_states=True)
-    with evolution.shared_decompositions(periods):
-        shared = [evolve(chain, replace(PROTO, period=p), psi0, cfg) for p in periods]
-    alone = [evolve(chain, replace(PROTO, period=p), psi0, cfg) for p in periods]
+    runs = [(chain, replace(PROTO, period=p), psi0, cfg) for p in periods]
+    with evolution.shared_decompositions(runs):
+        shared = [evolve(*run) for run in runs]
+    alone = [evolve(*run) for run in runs]
     assert [len(r.times) for r in shared] == [101, 105, 181]
-    assert all(np.array_equal(a.states, b.states) and np.array_equal(a.times, b.times) for a, b in zip(alone, shared))
+    assert all(same_records(a, b) for a, b in zip(alone, shared))
 
 
 @pytest.mark.parametrize("store", [True, False])
 def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
     """A stack casts its overlaps and builds its (steps, B, N) phases a
-    block of steps at a time: blocks of 1 to 180 steps, in chunks of 1 to
+    block of steps at a time: blocks of 1 to 90 steps, in chunks of 1 to
     209 exponents, give the same bits."""
     chain, periods = ChainSpec(25), [0.3, 0.8, 1.1, 2.0]
     psi0, cfg = start_state(chain, PROTO, 6), EvolutionConfig(dt=None, store_states=store)
-    proto = replace(PROTO, n_cycles=3)
+    runs = [(chain, replace(PROTO, n_cycles=3, period=p), psi0, cfg) for p in periods]
 
     def stacked():
-        with evolution.shared_decompositions(periods):
-            return [evolve(chain, replace(proto, period=p), psi0, cfg).states for p in periods]
+        with evolution.shared_decompositions(runs):
+            return [evolve(*run).states for run in runs]
 
     expected = stacked()
-    # blocks of 1, 5 and 2 steps in chunks of 1, 5 and 3 exponents; the default is 180 and 209
-    for chunk_bytes in (1, 5 * 8 * 25**2 + 4000, 3 * 8 * 25**2):
+    # blocks of 1, 5 and 1 steps in chunks of 1, 12 and 3 exponents; the default is 90 and 209
+    for chunk_bytes in (1, 5 * 16 * 25 * 29 + 4000, 3 * 8 * 25**2):
         monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
         assert all(np.array_equal(a, b) for a, b in zip(stacked(), expected))
 
@@ -340,22 +353,74 @@ def test_period_stack_holds_its_grid_its_output_and_a_few_chunks():
     """A 200-period stack on N = 30 builds its phases a few steps at a time:
     all of them at once would take 197 MB, a chunk's 14 MB."""
     chain, cfg = ChainSpec(30), EvolutionConfig(store_states=False)
-    periods = np.geomspace(0.5, 5.0, 200)
     psi0 = start_state(chain, PROTO, 7)
-    protocols = [replace(PROTO, period=float(p)) for p in periods]
+    runs = [(chain, replace(PROTO, period=float(p)), psi0, cfg) for p in np.geomspace(0.5, 5.0, 200)]
+    # the one grid the stack holds: a cycle of 512 steps, as evolve decomposes it
+    grid = held_bytes(list(evolution._cf4_decomposition(
+        chain, [lambda t: sample_trajectory(replace(PROTO, period=1.0), t)], 512, 1, False)))
     records = []
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with evolution.shared_decompositions(periods):
-            records.extend(evolve(chain, proto, psi0, cfg) for proto in protocols)
-            grid = sum(map(held_bytes, evolution._shared.get().grids.values()))
+        with evolution.shared_decompositions(runs):
+            records.extend(evolve(*run) for run in runs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     outputs = sum(r.times.nbytes + r.states.nbytes for r in records)
-    # the stack's final states (B, N), a block's complex overlaps and phases (2 chunks together) and working rows
-    assert peak <= grid + outputs + len(periods) * 30 * 16 + 4 * evolution._CHUNK_BYTES
+    # the stack's final states (B, N), a block's complex overlaps and phases (a chunk together) and working rows
+    assert peak <= grid + outputs + len(runs) * 30 * 16 + 4 * evolution._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("store", [True, False])
+@pytest.mark.parametrize("n_cycles", [1, 2, 3])
+@pytest.mark.parametrize("n_sites", [5, 12, 24, 30])
+def test_offset_stack_equals_point_by_point_evolve(monkeypatch, propagate_stacks, eigh_matrices, n_sites, n_cycles,
+                                                  store):
+    """Offsets share the chain, step count and cycle count but not their
+    Hamiltonians: announced, they step as one stack whose exponents are
+    decomposed together, again for each of the gcd(n_steps, n_cycles)
+    passes. Every run equals one evolve of its own, bit for bit, also where
+    chunk boundaries fall inside a grid, and the stack decomposes exactly
+    as many matrices as its runs do one at a time."""
+    chain, size = ChainSpec(n_sites), (n_sites + 1) // 2
+    protocols = [replace(PROTO, n_cycles=n_cycles, delta_offset=TWO_PI * x) for x in (-3.0, -0.5, 0.0, 1.5, 4.0)]
+    # 24 steps a cycle, so gcd(n_steps, n_cycles) = n_cycles passes through a grid of one cycle
+    runs = [(chain, p, start_state(chain, p, (chain.n_cells + 1) // 2), EvolutionConfig(p.period / 24, store))
+            for p in protocols]
+    before = eigh_matrices(size)
+    alone = [evolve(*run) for run in runs]
+    lone = eigh_matrices(size) - before
+    assert lone == len(runs) * 2 * 24 * n_cycles
+    # 7 exponents of 5 schedules a chunk: chunk boundaries inside a grid of 48 exponents
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 7 * 5 * 8 * n_sites**2)
+    propagate_stacks.clear()
+    before = eigh_matrices(size)
+    with evolution.shared_decompositions(runs):
+        shared = [evolve(*run) for run in runs]
+    assert eigh_matrices(size) - before == lone and propagate_stacks == [len(runs)]
+    assert all(same_records(a, b) for a, b in zip(alone, shared))
+
+
+def test_offset_stack_holds_its_outputs_and_a_few_chunks():
+    """A stack of 61 offsets on N = 5 streams its exponents: a chunk at a
+    time, as many matrices as one offset's grid, and the couplings of one
+    grid of every offset; holding the whole grid of all of them would take
+    about 15 MB."""
+    chain, cfg = ChainSpec(5), EvolutionConfig(store_states=False)
+    protocols = [replace(PROTO, delta_offset=float(x)) for x in np.linspace(-3.0, 3.0, 61) * PROTO.delta0]
+    runs = [(chain, p, start_state(chain, p), cfg) for p in protocols]
+    records = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with evolution.shared_decompositions(runs):
+            records.extend(evolve(*run) for run in runs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    outputs = sum(r.times.nbytes + r.states.nbytes for r in records)
+    assert peak <= outputs + 3 * evolution._CHUNK_BYTES
 
 
 def test_evolve_norm_drift_stays_tiny():

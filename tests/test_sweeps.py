@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ricemele
-from ricemele import evolution, sweeps
+from ricemele import evolution, protocols, sweeps
 from ricemele.config import config_hash
 from ricemele.evolution import EvolutionConfig, evolve, initial_dimer_state, mean_position_and_spread
 from ricemele.model import TWO_PI, ChainSpec
@@ -156,13 +156,18 @@ class InlineExecutor:
         return map(fn, iterable)
 
 
+def power(base, exponent, records):
+    """A row function of no runs, for the pool tests."""
+    return base**exponent
+
+
 @pytest.mark.parametrize("jobs, cores, workers", [
     (1, 64, None), (500, 64, 5), (500, 2, 2), (3, 64, 3), (2, None, 1)])
 def test_pool_starts_no_more_workers_than_groups_or_cores(monkeypatch, jobs, cores, workers):
     monkeypatch.setattr(InlineExecutor, "workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    groups = [[(pow, (g, k)) for k in range(g + 1)] for g in range(5)]
+    groups = [[(power, (g, k), []) for k in range(g + 1)] for g in range(5)]
     assert sweeps._run_groups(groups, jobs) == [[g**k for k in range(g + 1)] for g in range(5)]
     assert [n for n, _ in InlineExecutor.workers] == ([] if workers is None else [workers])
 
@@ -171,7 +176,7 @@ def test_pool_forks_only_where_no_other_thread_runs(monkeypatch):
     monkeypatch.setattr(InlineExecutor, "workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    groups = [[(abs, (-1,))], [(abs, (-2,))]]
+    groups = [[(power, (-1, 1), [])], [(power, (-2, 1), [])]]
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -197,11 +202,13 @@ def test_pool_forks_a_process_of_one_thread():
 import os
 import numpy as np
 from ricemele import sweeps
+def magnitude(x, records):
+    return abs(x)
 a = np.ones((600, 600))
 a @ a
 counts = []
 os.register_at_fork(after_in_parent=lambda: counts.append(len(os.listdir("/proc/self/task"))))
-assert sweeps._run_groups([[(abs, (-1,))], [(abs, (-2,))]], 2) == [[1], [2]]
+assert sweeps._run_groups([[(magnitude, (-1,), [])], [(magnitude, (-2,), [])]], 2) == [[1], [2]]
 print(counts)
 """
     src = os.path.dirname(os.path.dirname(ricemele.__file__))
@@ -488,28 +495,25 @@ def test_ripple_frequency_tracks_delta0_not_coupling():
     assert stronger_j / base == pytest.approx(1.0, rel=0.15)
 
 
-@pytest.mark.parametrize("n_sites", [24, 30, 31])
-def test_period_stacks_equal_point_by_point_evolve(monkeypatch, eigh_matrices, n_sites):
-    """On chains of evolution._STACK_SITES or more sites a group's periods
-    are stepped as one stack: the sweep rows, at --jobs 1 and 2, and the
+@pytest.mark.parametrize("n_sites", [5, 12, 24, 30, 31])
+def test_period_stacks_equal_point_by_point_evolve(propagate_stacks, eigh_matrices, n_sites):
+    """A group's periods are stepped as one stack, in the step form of
+    their chain length: the sweep rows, at --jobs 1 and 2, and the
     efficiency_vs_period values keep the bits of one evolve per period, and
     each decomposes one grid."""
-    stacks, step = [], evolution._propagate_states
-    monkeypatch.setattr(evolution, "_propagate_states",
-                        lambda chunks, count, dts, *rest: stacks.append(len(dts)) or step(chunks, count, dts, *rest))
     chain = ChainSpec(n_sites)
     spec = replace(mean_position_spec(), chain=chain)
     rows = run_sweep(spec).values
-    assert eigh_matrices((n_sites + 1) // 2) == 1024 and stacks == [3]
+    assert eigh_matrices((n_sites + 1) // 2) == 1024 and propagate_stacks == [3]
     for row, period in zip(rows, spec.axes["period"]):
         proto = replace(spec.protocol, period=float(period))
         assert tuple(row) == mean_position_reference(chain, proto, spec.start_cell, None)
     assert np.array_equal(run_sweep(replace(spec, jobs=2)).values, rows)
-    periods = np.array([0.5, 0.8, 1.2])
+    periods, start = np.array([0.5, 0.8, 1.2]), min(3, n_sites // 2)
     before = eigh_matrices((n_sites + 1) // 2)
-    values = efficiency_vs_period(chain, spec.protocol, periods, start_cell=3)
-    assert eigh_matrices((n_sites + 1) // 2) - before == 1024 and stacks[-1] == 3
-    expected = [transport_efficiency(chain, replace(spec.protocol, period=float(p)), 3, "lower", float(p) / 512)
+    values = efficiency_vs_period(chain, spec.protocol, periods, start_cell=start)
+    assert eigh_matrices((n_sites + 1) // 2) - before == 1024 and propagate_stacks[-1] == 3
+    expected = [transport_efficiency(chain, replace(spec.protocol, period=float(p)), start, "lower", float(p) / 512)
                 for p in periods]
     assert np.array_equal(values, expected)
 
@@ -534,14 +538,9 @@ def test_each_sweep_decomposes_afresh(eigh_matrices):
 
 
 def test_lone_sweep_group_holds_no_decomposition(eigh_matrices):
-    """A group of one run has nothing to share: it runs outside
-    shared_decompositions() and streams its exponents, one cycle's grid
-    decomposed for each of its two cycles, as a direct evolve call does."""
-    def held():
-        return evolution._shared.get()
-
-    assert sweeps._run_group([(held, ())]) == [None]
-    assert sweeps._run_group([(held, ()), (held, ())]) == [evolution._Block(())] * 2  # an empty block
+    """A group of one run has nothing to share: a stack of one streams its
+    exponents, one cycle's grid decomposed for each of its two cycles, as a
+    direct evolve call does."""
     spec = replace(mean_position_spec(), axes={"period": np.array([0.6])})
     run_sweep(spec)
     assert eigh_matrices(3) == 2 * 1024
@@ -572,3 +571,57 @@ def test_efficiency_vs_period_decomposes_once_per_call(eigh_matrices):
     assert eigh_matrices(3) == 512  # 256 steps of two exponents each
     assert np.array_equal(efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=256), first)
     assert eigh_matrices(3) == 2 * 512
+
+
+@pytest.mark.parametrize("n_cycles", [1, 2, 3])
+@pytest.mark.parametrize("n_sites", [5, 12, 24, 30])
+def test_offset_stacks_equal_point_by_point_evolve(propagate_stacks, n_sites, n_cycles):
+    """An offset sweep's points share the chain, step count and cycle count
+    but not their schedules: they step as one stack, and every row, at
+    --jobs 1, 2 and 3, keeps the bits of one evolve per point."""
+    chain, protocol = ChainSpec(n_sites), replace(PROTO, n_cycles=n_cycles)
+    offsets = TWO_PI * np.array([-6.0, -2.5, 0.0, 1.0, 5.5])
+    spec = SweepSpec("offset", chain, protocol, {"delta0": np.array([PROTO.delta0]), "delta_offset": offsets},
+                     dt=PROTO.period / 24)
+    rows = run_sweep(spec).values
+    assert propagate_stacks == [len(offsets)]
+    expected = [transport_efficiency(chain, replace(protocol, delta_offset=float(x)), 1, "lower", spec.dt)
+                for x in offsets]
+    assert np.array_equal(rows[:, 0], expected)
+    for jobs in (2, 3):
+        assert np.array_equal(run_sweep(replace(spec, jobs=jobs)).values, rows)
+
+
+def test_protocol_compare_steps_its_kinds_and_periods_as_one_stack(propagate_stacks):
+    """At 512 steps a period every kind and period of a comparison shares
+    the step count: one stack of two schedules, each held by three periods.
+    At a fixed dt each period takes its own step count, and its kinds step
+    as a stack of their own."""
+    spec = replace(compare_spec(), dt=None)
+    rows = run_sweep(spec).values
+    assert propagate_stacks == [len(protocols.KINDS) * len(spec.axes["period"])]
+    expected = [[transport_efficiency(CHAIN, replace(spec.protocol, kind=kind, period=float(period)))
+                 for kind in protocols.KINDS] for period in spec.axes["period"]]
+    assert np.array_equal(rows, expected)
+    propagate_stacks.clear()
+    run_sweep(compare_spec())
+    assert propagate_stacks == [len(protocols.KINDS)] * len(spec.axes["period"])
+
+
+@pytest.mark.parametrize("kind, jobs, parts", [
+    ("offset", 1, [4]), ("offset", 2, [2, 2]), ("offset", 3, [1, 1, 2]), ("offset", 9, [1, 1, 1, 1]),
+    ("mean_position", 3, [3]), ("period_delta", 3, [2, 2]), ("size", 2, [1, 1, 1, 1])])
+def test_jobs_split_only_points_that_share_no_schedule(monkeypatch, kind, jobs, parts):
+    """--jobs N cuts a group of several schedules into at most N contiguous
+    parts of whole schedules, and never cuts a group of one schedule: the
+    three periods of mean_position share one grid, the two periods of each
+    period_delta delta0 share one, and each size and period is a group of
+    its own."""
+    sizes = []
+    run_groups = sweeps._run_groups
+    monkeypatch.setattr(sweeps, "_run_groups", lambda groups, n: sizes.extend(map(len, groups)) or run_groups(groups, 1))
+    spec = replace(SPECS[kind](), jobs=jobs)
+    if kind == "period_delta":  # 512 steps a period: one stack key for both periods
+        spec = replace(spec, dt=None)
+    assert np.array_equal(run_sweep(spec).values, run_sweep(replace(spec, jobs=1)).values)
+    assert sizes[:len(parts)] == parts

@@ -11,7 +11,7 @@ offset` with no config at --dt 0.005, `sweep size` and `sweep
 mean_position` with no config at --dt 0.01, and `sweep period_delta`,
 `protocol_compare` and `topt_collapse` on the small grids of
 SMALL_SWEEPS at --dt 0.01, so every sweep kind runs, each sweep
-at --jobs 1 and at --jobs 2; all write under the same --out path so
+at --jobs 1, 2 and 3; all write under the same --out path so
 printed paths agree. Each tree also runs every demos/*.py script of
 NEW_TREE, each in its own empty folder, and its stdout and the files it
 writes to demo_out/ are compared the same way; the demos reach library
@@ -19,8 +19,10 @@ paths that no CLI command does.
 Exit codes, stdout, stderr and output files are compared byte for byte; a
 differing JSON file names its differing keys, and a differing CSV or JSON
 file gives the largest absolute difference between numbers at the same
-place in both. Within NEW_TREE, each sweep's files at --jobs 2 must equal
-its files at --jobs 1. Exits 1 on any difference.
+place in both. Within NEW_TREE, each sweep's files at --jobs 2 and 3 must
+equal its files at --jobs 1; --jobs 3 cuts a sweep of several schedules
+into unequal parts where their number is not a multiple of three. Exits 1
+on any difference.
 """
 
 import json
@@ -73,7 +75,7 @@ def cases(configs, work, out):
             json.dump({"sweep": {"kind": kind, **values}}, fh)
         sweeps.append((f"sweep_{kind}_small", ["--config", path, "--dt", "0.01", "sweep", kind]))
     for label, argv in sweeps:
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             yield f"{label}_jobs{jobs}", ["--jobs", jobs, *argv]
 
 
@@ -158,7 +160,7 @@ def main(old, new):
                            if name.endswith((".json", ".csv")) else "")
                 diffs.append(f"{label}/{name}: differs" + (f" at {', '.join(keys)}" if keys else "") + largest)
     diffs += [f"{label}: files differ from {label[:-1]}1" for label, now in after.items()
-              if label.endswith("_jobs2") and now[3] != after[label[:-1] + "1"][3]]
+              if label.endswith(("_jobs2", "_jobs3")) and now[3] != after[label[:-1] + "1"][3]]
     print("\n".join(diffs) or "no differences")
     return 1 if diffs else 0
 
