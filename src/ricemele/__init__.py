@@ -29,7 +29,6 @@ from .model import (
     bloch_band_width,
     build_hamiltonian,
     build_hamiltonians,
-    default_cells,
 )
 from .protocols import (
     PumpProtocol,
@@ -104,7 +103,6 @@ __all__ = [
     "classical_ionization_field",
     "classify_regime",
     "decompose_trace",
-    "default_cells",
     "evolve",
     "excitation_spectrum",
     "extract_autler_townes_splitting",

@@ -43,16 +43,9 @@ scan) have their exponents built and decomposed together, a chunk of
 steps at a time and again for each pass, as a lone run streams its own,
 and each run steps through the overlaps of its schedule.
 
-A step takes one of two forms, by chain length. Below _STACK_SITES = 24
-sites, _propagate multiplies the phases into the overlaps, A_k =
-p_k[:, None] * O_k, and steps c <- A_k c. From 24 sites on it multiplies
-the phases into the state, c <- p_k * (O_k c). A lone run steps by
-a.dot(c), a stack C by matmul(a, C[..., None])[..., 0], which gives each
-run the bits of a lone run in either form. The threshold is a measured
-crossover of a lone run: stepping a held 1,024-step grid in one process,
-25 interleaved pairs (CPU time, 2-vCPU Xeon, OpenBLAS 0.3.31), the state
-form took a median 1.19-1.33 times the matrix form's time at N = 12-16,
-0.96-1.07 times at N = 20-26 and 0.78-0.88 times at N = 30-40.
+Every step multiplies the phases into the state, c <- p_k * (O_k c). A
+lone run steps by o.dot(c), a stack C by matmul(o, C[..., None])[..., 0],
+which gives each run the bits of a lone run.
 """
 
 from __future__ import annotations
@@ -84,16 +77,12 @@ _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
 # Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
 # overlaps of a chunk in _eigen_chunks (its odd-site blocks and their QR
-# factors take a quarter as much each), and a block of steps' complex step
-# matrices and (steps, B, N) phases in _propagate. A bound on the memory a run
+# factors take a quarter as much each), and a block of steps' complex overlaps
+# and (steps, B, N) phases in _propagate. A bound on the memory a run
 # takes beyond what it holds, large enough that the stacked eigh, QR and
 # matmul calls amortise their call cost. A chunk of S schedules holds as many
 # matrices as a chunk of one, so a stack takes no more than a lone run.
 _CHUNK_BYTES = 2**20
-# Chains of at least this many sites step the state as c <- p_k * (O_k c);
-# shorter ones multiply the phases into the overlaps (see the module docstring
-# for the measured crossover).
-_STACK_SITES = 24
 
 
 @dataclass(frozen=True)
@@ -168,16 +157,15 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
     The state is stepped as its coefficients c_k in matrix k's eigenbasis:
 
         c_0 = p_0 * (v_0^H psi0),  c_k = p_k * (O_k c_(k-1)),  psi_k = v_k c_k,
-        O_k = v_k^H v_(k-1),  p_k = exp(-i w_k dt),
+        O_k = v_k^H v_(k-1),  p_k = exp(-i w_k dt).
 
-    below _STACK_SITES sites as c_k = A_k c_(k-1), A_k = p_k[:, None] * O_k
-    (see the module docstring). A lone run (B = 1) keeps its coefficients
-    as a vector and steps them by a.dot(c); a stack keeps them as rows
-    (B, N) and steps them by one _matvecs a step, with the bits of a lone
-    run. A block of steps' (steps, B, N) phases and complex step matrices,
-    the A_k or the cast overlaps, are built in two reused buffers within
-    _CHUNK_BYTES. The state enters and leaves each grid, and each stored
-    state leaves the eigenbasis, run by run in a lone run's expressions.
+    A lone run (B = 1) keeps its coefficients as a vector and steps them by
+    o.dot(c); a stack keeps them as rows (B, N) and steps them by one
+    _matvecs a step, with the bits of a lone run. A block of steps' (steps,
+    B, N) phases and complex overlaps are built in two reused buffers
+    within _CHUNK_BYTES. The state enters and leaves each grid, and each
+    stored state leaves the eigenbasis, run by run in a lone run's
+    expressions.
 
     chunks may be a list, walked at any dt, or a generator, decomposed as
     it is stepped. They may walk one grid of matrices several times, as
@@ -194,19 +182,14 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
     psi0s = np.asarray(psi0s, dtype=complex).reshape(len(dts), -1)
     b, n = psi0s.shape
     schedules = list(schedules)
-    lone, matrix_form = b == 1, n < _STACK_SITES
-    if matrix_form:
-        def enter(v, psi):
-            return v.conj().T @ psi
+    lone = b == 1
 
-        def leave(v, c):
-            return v @ c
-    else:
-        def enter(v, psi):
-            return np.ascontiguousarray(v.conj().T, dtype=complex).dot(psi)
+    def enter(v, psi):
+        return np.ascontiguousarray(v.conj().T, dtype=complex).dot(psi)
 
-        def leave(v, c):
-            return v.astype(complex).dot(c)
+    def leave(v, c):
+        return v.astype(complex).dot(c)
+
     if lone:  # the schedule axis dropped: vectors c, phases (steps, N), matrices (steps, N, N)
         dt, product, per_run = dts[0], np.ndarray.dot, (lambda x: x[:, 0])
     else:  # the schedule axis broadcast over the runs of one schedule, or in run order already, or gathered
@@ -223,9 +206,9 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
         if first is not None:  # matrix 0 of a grid, entered from the site basis
             if c is None:
                 psi = psi0s
-                # the steps whose phases and complex step matrices fit in a chunk, and their two buffers
+                # the steps whose phases and complex overlaps fit in a chunk, and their two buffers
                 runs_shape = () if lone else (b,)
-                matrix_shape = runs_shape if matrix_form else per_run(overlaps[:1]).shape[1:-2]
+                matrix_shape = per_run(overlaps[:1]).shape[1:-2]
                 per = max(1, _CHUNK_BYTES // (16 * n * (n * math.prod(matrix_shape) + b)))
                 block = min(per, len(w))
                 cast = np.empty((block, *matrix_shape, n, n), dtype=complex)
@@ -240,18 +223,11 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
             part = w[start:start + per]
             matrices, phases = cast[:len(part)], buffer[:len(part)]
             np.exp(np.multiply(-1j * part, dt, out=phases), out=phases)
-            if matrix_form:
-                np.multiply(phases[..., None], overlaps[start:start + per], out=matrices)
-                for j, a in enumerate(matrices, k + start):
-                    c = product(a, c)
-                    if store and j % 2:
-                        rows[j // 2 + 1] = c
-            else:
-                matrices[...] = overlaps[start:start + per]
-                for j, (p, o) in enumerate(zip(phases, matrices), k + start):
-                    c = p * product(o, c)
-                    if store and j % 2:
-                        rows[j // 2 + 1] = c
+            matrices[...] = overlaps[start:start + per]
+            for j, (p, o) in enumerate(zip(phases, matrices), k + start):
+                c = p * product(o, c)
+                if store and j % 2:
+                    rows[j // 2 + 1] = c
         k += len(w)
         if store:  # leave the eigenbasis at this chunk's odd matrices
             done = slice(row, row + len(bases))

@@ -20,24 +20,13 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def default_cells(n_sites: int) -> tuple[tuple[int, ...], ...]:
-    """Partition sites 1..N into dimer cells {1,2},{3,4},...; odd N ends in a singleton."""
-    cells = []
-    s = 1
-    while s <= n_sites:
-        cells.append((s, s + 1) if s + 1 <= n_sites else (s,))
-        s += 2
-    return tuple(cells)
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """Open chain of n_sites sites grouped into dimer cells {1,2},{3,4},...
 
-    The cells always follow from n_sites (see default_cells): an odd
-    chain ends in a single-site cell. delta_parity fixes the sign pattern
-    of the on-site imbalance: +1 puts +delta on odd sites, -1 flips the
-    whole pattern.
+    The cells always follow from n_sites: an odd chain ends in a
+    single-site cell. delta_parity fixes the sign pattern of the on-site
+    imbalance: +1 puts +delta on odd sites, -1 flips the whole pattern.
     """
 
     n_sites: int
@@ -51,17 +40,12 @@ class ChainSpec:
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        return default_cells(self.n_sites)
+        """Sites 1..N as dimer cells (1, 2), (3, 4), ..., the last (N,) for odd N."""
+        return tuple(tuple(range(s, min(s + 2, self.n_sites + 1))) for s in range(1, self.n_sites + 1, 2))
 
     @property
     def n_cells(self) -> int:
         return (self.n_sites + 1) // 2
-
-    def cell_of_site(self, site: int) -> int:
-        """1-based cell index containing a 1-based site index."""
-        if not 1 <= site <= self.n_sites:
-            raise ValueError(f"site {site} out of range")
-        return (site + 1) // 2
 
     def intra_bonds(self) -> np.ndarray:
         """Boolean mask over bonds (1..N-1); True where bond (i, i+1) is intra-cell,

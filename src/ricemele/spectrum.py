@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import float_rows, write_lines
-from .model import TWO_PI, ChainSpec, ParameterPoint, bloch_band_width, build_hamiltonian, build_hamiltonians
+from .model import TWO_PI, ChainSpec, ParameterPoint, build_hamiltonian, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 from . import evolution
 
@@ -91,70 +91,23 @@ def find_spectral_peaks(x: np.ndarray, y: np.ndarray, min_height_frac: float = 0
     return np.asarray(x)[idx[y[idx] >= height]]
 
 
-# scipy's golden-section constants, its rounded 2 / (1 + sqrt(5)) included
-_GOLDEN_R = 0.61803399
-_GOLDEN_C = 1.0 - _GOLDEN_R
-
-
-def _golden_minimum(f, xa, xb, xc, xtol):
-    """Least f found by golden-section search of the bracket (xa, xb, xc).
-
-    A step-for-step port of scipy.optimize.minimize_scalar(f, bracket=
-    (xa, xb, xc), method="golden", options={"xtol": xtol}) that returns its
-    res.fun bit for bit, with its bracket checks and iteration cap.
-    """
-    if xa > xc:
-        xa, xc = xc, xa
-    if not (xa < xb and xb < xc):
-        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this requirement: "
-                         "(xa < xb) and (xb < xc)")
-    fa, fb, fc = f(xa), f(xb), f(xc)
-    if not (fb < fa and fb < fc):
-        raise ValueError("Bracketing values (xa, xb, xc) do not fulfill this requirement: "
-                         "(f(xb) < f(xa)) and (f(xb) < f(xc))")
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, x2 = xb, xb + _GOLDEN_C * (xc - xb)
-    else:
-        x1, x2 = xb - _GOLDEN_C * (xb - xa), xb
-    f1, f2 = f(x1), f(x2)
-    for _ in range(5000):
-        if abs(x3 - x0) <= xtol * (abs(x1) + abs(x2)):
-            break
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, _GOLDEN_R * x2 + _GOLDEN_C * x3
-            f1, f2 = f2, f(x2)
-        else:
-            x3, x2, x1 = x2, x1, _GOLDEN_R * x1 + _GOLDEN_C * x0
-            f2, f1 = f1, f(x1)
-    return f1 if f1 < f2 else f2
-
-
 def max_band_width(protocol: PumpProtocol) -> float:
     """Maximum Bloch band width along the protocol over one period.
 
-    Dense scan at 512 times followed by golden-section refinement of the
-    bracketing interval; relative tolerance 1e-6 on the period coordinate.
+    A scan at 512 times, then four 65-point scans, each across the two steps
+    of the scan before around its widest time, at 1/32 of its step. The last
+    step is period / 512 / 32**4.
     """
-    period, n_times = protocol.period, 512
-
-    def width_at(t):
-        j1, j2, delta = sample_trajectory(protocol, np.array([t % period]))
-        return bloch_band_width(ParameterPoint(float(j1[0]), float(j2[0]), float(delta[0])))
-
-    times = np.linspace(0.0, period, n_times, endpoint=False)
-    j1, j2, delta = sample_trajectory(protocol, times)
-    hi = np.sqrt(delta**2 + (j1 + j2) ** 2)
-    lo = np.sqrt(delta**2 + (j1 - j2) ** 2)
-    widths = hi - lo
-    k = int(np.argmax(widths))
-    if widths[k] <= 0.0:
-        return 0.0
-    # bracket the dense maximum with its periodic neighbors
-    ta = times[k] - period / n_times
-    tc = times[k] + period / n_times
-    least = _golden_minimum(lambda t: -width_at(t), ta, times[k], tc, xtol=1e-6)
-    return max(float(-least), float(widths[k]))
+    period = protocol.period
+    times, step = np.linspace(0.0, period, 512, endpoint=False), period / 512
+    for _ in range(5):
+        j1, j2, delta = sample_trajectory(protocol, times % period)
+        widths = np.sqrt(delta**2 + (j1 + j2) ** 2) - np.sqrt(delta**2 + (j1 - j2) ** 2)
+        k = int(np.argmax(widths))  # each scan holds the widest time of the one before at its centre
+        if widths[k] <= 0.0:
+            return 0.0
+        times, step = times[k] + step * np.linspace(-1.0, 1.0, 65), step / 32
+    return float(widths[k])
 
 
 def predict_optimal_period(protocol: PumpProtocol) -> float:

@@ -10,24 +10,21 @@ from ricemele.model import (
     bloch_band_width,
     build_hamiltonian,
     build_hamiltonians,
-    default_cells,
 )
 
 
 def test_default_cells_odd_chain_ends_in_singleton():
-    assert default_cells(5) == ((1, 2), (3, 4), (5,))
-    assert default_cells(6) == ((1, 2), (3, 4), (5, 6))
-    assert default_cells(1) == ((1,),)
+    assert ChainSpec(5).cells == ((1, 2), (3, 4), (5,))
+    assert ChainSpec(6).cells == ((1, 2), (3, 4), (5, 6))
+    assert ChainSpec(1).cells == ((1,),)
 
 
 def test_chain_spec_counts_cells_and_maps_sites():
     spec = ChainSpec(7)
     assert spec.n_cells == 4
-    assert spec.cell_of_site(1) == 1
-    assert spec.cell_of_site(6) == 3
-    assert spec.cell_of_site(7) == 4
-    with pytest.raises(ValueError):
-        spec.cell_of_site(8)
+    assert spec.cells[0] == (1, 2)
+    assert 6 in spec.cells[2]
+    assert spec.cells[3] == (7,)
 
 
 def test_chain_spec_rejects_bad_input():
@@ -50,18 +47,14 @@ def test_intra_bonds_alternate_starting_intra():
 @pytest.mark.parametrize("parity", [1, -1])
 @pytest.mark.parametrize("n_sites", range(1, 65))
 def test_derived_cells_agree_with_default_cells(n_sites, parity):
-    cells = default_cells(n_sites)
+    spec = ChainSpec(n_sites, delta_parity=parity)
+    cells = spec.cells
     # dimers from site 1, ordered and covering 1..N; only the last cell may be a single site
     assert [s for c in cells for s in c] == list(range(1, n_sites + 1))
     assert [len(c) for c in cells[:-1]] == [2] * (len(cells) - 1) and len(cells[-1]) in (1, 2)
     owner = {s: i for i, c in enumerate(cells, start=1) for s in c}
-    spec = ChainSpec(n_sites, delta_parity=parity)
-    assert spec.cells == cells
+    assert [owner[s] for s in range(1, n_sites + 1)] == [(s + 1) // 2 for s in range(1, n_sites + 1)]
     assert spec.n_cells == len(cells)
-    assert [spec.cell_of_site(s) for s in range(1, n_sites + 1)] == [owner[s] for s in range(1, n_sites + 1)]
-    for site in (0, n_sites + 1):
-        with pytest.raises(ValueError):
-            spec.cell_of_site(site)
     assert spec.intra_bonds().tolist() == [owner[b] == owner[b + 1] for b in range(1, n_sites)]
     psi = np.random.default_rng(n_sites).normal(size=(3, n_sites)) + 0j
     expected = [[sum(w[s - 1] for s in c) for c in cells] for w in np.abs(psi) ** 2]

@@ -33,7 +33,6 @@ from ricemele.spectrum import (
     write_excitation_csv,
     write_spectrum_csv,
 )
-from ricemele.spectrum import _golden_minimum
 
 J0 = TWO_PI * 1.5
 D0 = TWO_PI * 7.0
@@ -164,35 +163,16 @@ def scipy_max_band_width(protocol):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_max_band_width_matches_scipy_golden_search_exactly(kind):
+def test_max_band_width_reaches_scipy_golden_search(kind):
+    # the narrowing scans end on a step of period / 2**29, far inside the golden search's
+    # 1e-6 relative tolerance: never below its width, and above it only by what it misses
     rng = np.random.default_rng(11)
     for _ in range(24):
         proto = PumpProtocol(kind, TWO_PI * rng.uniform(0.2, 3.0), TWO_PI * rng.uniform(0.0, 10.0),
                              TWO_PI * rng.uniform(-3.0, 3.0), float(rng.uniform(0.1, 5.0)),
                              int(rng.integers(1, 4)))
-        assert max_band_width(proto) == scipy_max_band_width(proto)
-
-
-def test_golden_minimum_matches_scipy_and_keeps_its_bracket_checks():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        a, b = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
-
-        def f(x):
-            return float(np.cosh(a * (x - b)) + 0.01 * np.sin(5.0 * x))
-
-        xb = b + rng.uniform(-0.01, 0.01)
-        bracket = (xb - rng.uniform(0.5, 1.0), xb, xb + rng.uniform(0.5, 1.0))
-        ref = minimize_scalar(f, bracket=bracket, method="golden", options={"xtol": 1e-6}).fun
-        assert _golden_minimum(f, *bracket, xtol=1e-6) == ref
-    # a reversed bracket is swapped, as scipy does
-    assert _golden_minimum(abs, 1.0, 0.1, -1.0, xtol=1e-6) == minimize_scalar(
-        abs, bracket=(1.0, 0.1, -1.0), method="golden", options={"xtol": 1e-6}).fun
-    for bracket, f in (((0.0, 2.0, 1.0), abs), ((-1.0, 0.0, 1.0), lambda x: 1.0)):
-        with pytest.raises(ValueError, match="Bracketing values"):
-            minimize_scalar(f, bracket=bracket, method="golden")
-        with pytest.raises(ValueError, match="Bracketing values"):
-            _golden_minimum(f, *bracket, xtol=1e-6)
+        width, golden = max_band_width(proto), scipy_max_band_width(proto)
+        assert golden <= width <= golden * (1 + 1e-10)
 
 
 def test_predict_optimal_period_does_not_import_scipy():
