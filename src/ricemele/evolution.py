@@ -16,12 +16,15 @@ multiplies its coefficients by the overlap of consecutive eigenbases
 times the exponent's phases, one small complex matrix-vector product.
 
 Every exponent is a chain Hamiltonian: +d on the odd sites, -d on the
-even ones, and bonds that join an odd site to an even one only (Rice &
+even ones, and bonds Q that join an odd site to an even one only (Rice &
 Mele, PRL 49, 1455 (1982)). So H^2 is block-diagonal on the two
 sublattices, and _chain_eigh builds every eigenpair of H from one eigh of
-the odd-site block of (N + 1) // 2 rows and a QR of the bonds mapped onto
-it, in place of an eigh of all N rows. Generic Hermitian stacks, as in the
-tests, map np.linalg.eigh instead; both give _eigen_chunks (w, v) stacks.
+Q Q^T, (N + 1) // 2 rows, and a QR of Q^T on its eigenvectors, in place of
+an eigh of all N rows. Neither depends on d (_bond_eigh); d enters only
+through 2x2 blocks (_chain_diagonal), so schedules with the same bonds, as
+the offsets of a scan, share one eigh and one QR per exponent. Generic
+Hermitian stacks, as in the tests, map np.linalg.eigh instead; both give
+_eigen_chunks (w, v) stacks.
 
 The pump is periodic in the cycle phase (Thouless, PRB 27, 6083 (1983)),
 so the steps of a run repeat every G = n_steps // gcd(n_steps, n_cycles)
@@ -39,9 +42,10 @@ steps them all, one matrix-vector product a step for the whole stack, and
 the later evolve calls return what it kept. Runs of one schedule (the
 periods of a scan) hold its decomposed grid and step through it at each
 period's dt, once per pass. Runs of several schedules (the offsets of a
-scan) have their exponents built and decomposed together, a chunk of
-steps at a time and again for each pass, as a lone run streams its own,
-and each run steps through the overlaps of its schedule.
+scan) hold the bond parts of their grid, one per bond group, across the
+passes, about 8 G N^2 bytes a group; each pass applies every schedule's d
+and forms its overlaps a chunk of steps at a time, and each run steps
+through the overlaps of its schedule.
 
 Every step multiplies the phases into the state, c <- p_k * (O_k c). A
 lone run steps by o.dot(c), a stack C by matmul(o, C[..., None])[..., 0],
@@ -66,22 +70,25 @@ DEFAULT_STEPS_PER_CYCLE = 512
 # Most steps one run may take. Runs of one schedule in a stack hold the
 # eigenvalues and the overlaps of the 2G exponents of its grid of G steps (see
 # _step_stack), 8 * 2G * N**2 bytes on N sites (and its G odd eigenbases, half
-# as much again, if they store states); any other run holds one chunk of
-# _CHUNK_BYTES at a time besides its output. A larger run is refused before
-# anything is allocated, as at 2**21 exponents a held grid alone would take
-# gigabytes. No test, demo or benchmark run takes more than 262,145 steps.
+# as much again, if they store states); runs of several schedules hold the
+# bond parts of their grid, about 8 * G * N**2 bytes for each group of
+# schedules with the same bonds; a lone run holds one chunk of _CHUNK_BYTES at
+# a time besides its output. A larger run is refused before anything is
+# allocated, as at 2**21 exponents a held grid alone would take gigabytes. No
+# test, demo or benchmark run takes more than 262,145 steps.
 MAX_STEPS = 2**20
 # CF4's Gauss nodes as offsets from a step's midpoint, in steps, and its
 # exponent weights a1, a2 (see the module docstring).
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
-# Bytes of matrices built at a time: the Hamiltonians, eigenvectors and
-# overlaps of a chunk in _eigen_chunks (its odd-site blocks and their QR
-# factors take a quarter as much each), and a block of steps' complex overlaps
-# and (steps, B, N) phases in _propagate. A bound on the memory a run
-# takes beyond what it holds, large enough that the stacked eigh, QR and
-# matmul calls amortise their call cost. A chunk of S schedules holds as many
-# matrices as a chunk of one, so a stack takes no more than a lone run.
+# Bytes of matrices built at a time: the eigenvectors and overlaps of a chunk
+# in _eigen_chunks (the Hamiltonians of its bond groups, their odd-site blocks
+# and QR factors take at most as much, a quarter each), and a block of steps'
+# complex overlaps and (steps, B, N) phases in _propagate. A bound on the
+# memory a run takes beyond what it holds, large enough that the stacked eigh,
+# QR and matmul calls amortise their call cost. A chunk of S schedules holds
+# as many matrices as a chunk of one, so a stack takes no more than a lone run
+# besides the bond parts it holds.
 _CHUNK_BYTES = 2**20
 
 
@@ -277,10 +284,12 @@ def _step_stack(spec, runs, n_steps, store):
 
     The steps repeat every G = n_steps // gcd(n_steps, n_cycles), so one
     grid of G steps is decomposed and walked gcd(n_steps, n_cycles) times.
-    Runs of one schedule hold its grid, decomposed once. Otherwise the
-    schedules' exponents are built and decomposed together a chunk at a
-    time as they are stepped, and again for each pass, so the stack holds
-    a chunk at a time, as a lone run does.
+    Runs of one schedule hold its grid, decomposed once. Runs of several
+    schedules hold the bond parts of the grid, one per group of schedules
+    with the same bonds, taken once (see _cf4_decomposition); each pass
+    applies every schedule's d and forms its overlaps a chunk at a time as
+    they are stepped. A lone run decomposes its grid again for each pass
+    and so holds a chunk at a time.
     """
     index = {}  # each distinct schedule's protocol at period 1 -> its place in the chunks
     schedules = [index.setdefault(replace(protocol, period=1.0), len(index)) for protocol, _ in runs]
@@ -289,10 +298,9 @@ def _step_stack(spec, runs, n_steps, store):
     decompose = partial(_cf4_decomposition, spec, [partial(sample_trajectory, unit) for unit in index],
                         n_steps // passes, n_cycles // passes, store)
     if len(index) == 1 < len(runs):
-        grid = list(decompose())
-        chunks = itertools.chain.from_iterable(itertools.repeat(grid, passes))
+        chunks = itertools.chain.from_iterable(itertools.repeat(list(decompose()), passes))
     else:
-        chunks = itertools.chain.from_iterable(decompose() for _ in range(passes))
+        chunks = decompose(passes)
     return _propagate(chunks, 2 * n_steps, [protocol.duration / n_steps for protocol, _ in runs],
                       [psi0 for _, psi0 in runs], store, schedules)
 
@@ -349,50 +357,54 @@ def shared_decompositions(runs=()):
         _shared.reset(token)
 
 
+def _bond_eigh(q):
+    """The part of _chain_eigh that depends on the bonds alone: for a stack of
+    bond blocks Q, shape (..., (N + 1) // 2, N // 2), the eigenvectors u of
+    Q Q^T, columns in descending order of eigenvalue, and the QR of Q^T u
+    over its first N // 2 columns, Q^T u_i = R_ii e_i: (u, e, diag R)."""
+    u = np.linalg.eigh(q @ q.swapaxes(-1, -2))[1][..., ::-1]  # descending, so the QR meets the largest R_ii first
+    even, r = np.linalg.qr(q.swapaxes(-1, -2) @ u[..., :q.shape[-1]])
+    return u, even, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+def _chain_diagonal(d, u, even, r):
+    """The eigenvalues and eigenvectors (w, v) of chains with diagonal d on
+    the bond parts (u, even, r) of _bond_eigh; d, shape (...), broadcasts
+    against the bond parts' stack, so several chains can share one.
+
+    H is the 2x2 block [[d, R_ii], [R_ii, -d]] on each pair (u_i, e_i):
+    eigenvalues -+hypot(d, R_ii), eigenvectors from the half-angle
+    atan2(R_ii, d) / 2. An odd-site column u_i left over (odd N) is an
+    eigenvector of eigenvalue d.
+    """
+    pairs = r.shape[-1]
+    n = u.shape[-1] + pairs
+    half = 0.5 * np.arctan2(r, d[..., None])
+    cos, sin = np.cos(half)[..., None, :], np.sin(half)[..., None, :]
+    v = np.zeros((*half.shape[:-1], n, n))
+    np.multiply(u[..., :pairs], -sin, out=v[..., 0::2, :pairs])
+    np.multiply(even, cos, out=v[..., 1::2, :pairs])
+    np.multiply(u[..., :pairs], cos, out=v[..., 0::2, pairs:2 * pairs])
+    np.multiply(even, sin, out=v[..., 1::2, pairs:2 * pairs])
+    v[..., 0::2, 2 * pairs:] = u[..., pairs:]
+    radius = np.hypot(d[..., None], r)
+    rest = np.broadcast_to(d[..., None], (*radius.shape[:-1], n - 2 * pairs))
+    return np.concatenate([-radius, radius, rest], axis=-1), v
+
+
 def _chain_eigh(h):
     """Eigenvalues and eigenvectors (w, v) of a stack of chain Hamiltonians
     as build_hamiltonians makes them, shape (..., N, N), through the
     odd-site block of H^2; w is not sorted.
 
-    On the odd sites 1, 3, ... H is d = h[:, 0, 0], on the even sites -d,
+    On the odd sites 1, 3, ... H is d = h[..., 0, 0], on the even sites -d,
     and every bond joins an odd site to an even one, through Q =
-    h[:, 0::2, 1::2]. So H^2 is block-diagonal: d^2 + Q Q^T on the odd
-    sites, d^2 + Q^T Q on the even ones. One eigh of the odd block, with
-    its columns u_i in descending order, and a QR of Q^T u_i = R_ii v_i
-    over its first N // 2 columns give pairs (u_i, v_i) on which H is the
-    2x2 block [[d, R_ii], [R_ii, -d]]: eigenvalues -+hypot(d, R_ii),
-    eigenvectors from the half-angle atan2(R_ii, d) / 2. An odd-site
-    column left over (odd N) is an eigenvector of eigenvalue d.
-
-    The odd block carries d^2, so where |d| far exceeds both couplings the
-    backward error grows like eps |H|^2 / sigma, sigma the second-smallest
-    singular value of Q: at N = 10, J1 = J2 = 0.0017 and d = -13.1 it
-    reached 1,100 eps |H|, against 9.4 eps |H| for np.linalg.eigh. On the
-    pump stacks of the shipped protocols it stays at or below 18 eps |H|.
+    h[..., 0::2, 1::2]. So H^2 is block-diagonal: d^2 + Q Q^T on the odd
+    sites, d^2 + Q^T Q on the even ones. d is one number per matrix, so the
+    odd block has the eigenvectors of Q Q^T, and _bond_eigh takes them and
+    the QR of Q^T on them without d; _chain_diagonal then applies d.
     """
-    stack, n = h.shape[:-2], h.shape[-1]
-    h = h.reshape(-1, n, n)
-    m, pairs = len(h), n // 2
-    d, q = h[:, 0, 0].copy(), h[:, 0::2, 1::2].copy()
-    del h  # frees the stack where the caller holds no other reference, as in _cf4_decomposition
-    block = q @ q.swapaxes(1, 2)
-    block.reshape(m, -1)[:, ::block.shape[1] + 1] += (d * d)[:, None]  # d^2 on the diagonal
-    u = np.linalg.eigh(block)[1][:, :, ::-1]  # descending, so the QR meets the largest R_ii first
-    del block
-    even, r = np.linalg.qr(q.swapaxes(1, 2) @ u[:, :, :pairs])
-    del q
-    r = np.diagonal(r, axis1=1, axis2=2)
-    half = 0.5 * np.arctan2(r, d[:, None])
-    cos, sin = np.cos(half)[:, None, :], np.sin(half)[:, None, :]
-    v = np.zeros((m, n, n))
-    np.multiply(u[:, :, :pairs], -sin, out=v[:, 0::2, :pairs])
-    np.multiply(even, cos, out=v[:, 1::2, :pairs])
-    np.multiply(u[:, :, :pairs], cos, out=v[:, 0::2, pairs:2 * pairs])
-    np.multiply(even, sin, out=v[:, 1::2, pairs:2 * pairs])
-    v[:, 0::2, 2 * pairs:] = u[:, :, pairs:]
-    radius = np.hypot(d[:, None], r)
-    w = np.concatenate([-radius, radius, np.repeat(d[:, None], n - 2 * pairs, axis=1)], axis=1)
-    return w.reshape(*stack, n), v.reshape(*stack, n, n)
+    return _chain_diagonal(h[..., 0, 0], *_bond_eigh(h[..., 0::2, 1::2].copy()))
 
 
 def _eigen_chunks(decompositions, count, store):
@@ -430,39 +442,61 @@ def _eigen_chunks(decompositions, count, store):
         del w, overlaps, bases  # nor this chunk, once its consumer has let it go
 
 
-def _cf4_decomposition(spec, couplings, n_steps, span, store):
+def _cf4_decomposition(spec, couplings, n_steps, span, store, passes=1):
     """_eigen_chunks of the CF4 exponents of n_steps equal steps over
     [0, span] of each of S schedules, interleaved M1, M2 step by step:
-    2 n_steps steps of S real symmetric matrices, a generator.
+    2 n_steps steps of S real symmetric matrices, walked passes times, a
+    generator.
 
     couplings holds, for each schedule, a function that maps an array of
     times to (J1, J2, delta) arrays of its shape. H is linear in them, so
     each exponent is the Hamiltonian of the weighted couplings at the
-    step's two Gauss nodes, and a chain Hamiltonian, which _chain_eigh
-    decomposes through its odd-site block of H^2. The Hamiltonians of all
-    schedules are built and decomposed together, a chunk at a time: as many
-    matrices as one schedule's chunk of _CHUNK_BYTES, or its whole grid if
-    that is smaller, and at least one exponent of each schedule. So a stack
-    takes about as much memory as a lone run, besides its couplings, and no
-    full stack of Hamiltonians exists. Every eigh, QR and product in
-    _chain_eigh works on each matrix on its own, so neither the chunking
-    nor the other schedules change a bit.
+    step's two Gauss nodes, and a chain Hamiltonian (see _chain_eigh).
+    Schedules whose weighted J1 and J2 are equal bit for bit at every node,
+    as the offsets of a scan are, form one bond group: the Hamiltonians of
+    each group are built once, at delta = 0, their bond part taken once by
+    _bond_eigh, and each schedule's d applied by _chain_diagonal, broadcast
+    where the stack has one group. The exponents are decomposed a chunk at
+    a time: as many matrices as one schedule's chunk of _CHUNK_BYTES, or its
+    whole grid if that is smaller, and at least one exponent of each
+    schedule. Several schedules hold the bond parts of their grid across
+    the passes, about 8 * 2 n_steps * N**2 / 2 bytes a group; one schedule
+    decomposes its grid again for each pass, so it holds a chunk at a time.
+    No full stack of Hamiltonians exists. Every eigh, QR and product works
+    on each matrix on its own and the rest element by element, so neither
+    the chunking, nor the other schedules, nor the sharing changes a bit.
     """
     nodes = (np.arange(n_steps)[:, None] + 0.5 + _NODES) * (span / n_steps)
-    n, s = spec.n_sites, len(couplings)
+    n, s, count = spec.n_sites, len(couplings), 2 * n_steps
     weighted = np.empty((3, n_steps, 2, s))  # the weighted (J1, J2, delta) of M1 and M2 of every step and schedule
     for k, schedule in enumerate(couplings):
         c = np.asarray(schedule(nodes))  # (J1, J2, delta) at both nodes of every step
         weighted[:, :, 0, k] = _A1 * c[..., 0] + _A2 * c[..., 1]
         weighted[:, :, 1, k] = _A2 * c[..., 0] + _A1 * c[..., 1]
-    weighted = weighted.reshape(3, -1)  # exponent by exponent, the S schedules of each together
-    chunk = s * max(1, min(2 * n_steps, _CHUNK_BYTES // (8 * n * n)) // s)
+    # exponent by exponent, the S schedules of each together: (J1, J2) and the odd sites' d
+    bonds, d = weighted[:2].reshape(2, count, s), weighted[2].reshape(count, s) * spec.site_signs()[0]
+    groups = {}  # each distinct (J1, J2) over the grid -> its bond group
+    group = [groups.setdefault(bonds[..., k].tobytes(), len(groups)) for k in range(s)]
+    firsts = [group.index(g) for g in range(len(groups))]  # the first schedule of each group
+    shared = slice(0, 1) if len(groups) == 1 else group  # one group broadcasts, several are gathered
+    bonds = bonds[..., firsts]  # each group's couplings, so that the stack's own can go
+    del weighted, groups
+    per = max(1, min(count, _CHUNK_BYTES // (8 * n * n)) // s)  # exponents a chunk
 
-    def hamiltonians(start):  # a chunk's exponents, (exponents, S, N, N)
-        return build_hamiltonians(spec, *(x[start:start + chunk] for x in weighted)).reshape(-1, s, n, n)
+    def bond_part(start):  # a chunk's (u, even, r), shape (exponents, groups, ...); its Hamiltonians are dropped
+        j1, j2 = bonds[:, start:start + per]
+        return _bond_eigh(build_hamiltonians(spec, j1.ravel(), j2.ravel(), 0.0)
+                          .reshape(*j1.shape, n, n)[..., 0::2, 1::2].copy())
 
-    decompositions = (_chain_eigh(hamiltonians(start)) for start in range(0, weighted.shape[1], chunk))
-    return _eigen_chunks(decompositions, 2 * n_steps, store)
+    def diagonal(start, part):  # a chunk's (w, v), shape (exponents, S, ...)
+        return _chain_diagonal(d[start:start + per], *(x[:, shared] for x in part))
+
+    # map, not a generator, so that nothing here keeps a chunk alive while it is stepped
+    starts = range(0, count, per)
+    held = list(map(bond_part, starts)) if s > 1 and passes > 1 else None
+    for _ in range(passes):
+        yield from _eigen_chunks(map(diagonal, starts, map(bond_part, starts) if held is None else held),
+                                 count, store)
 
 
 def _checked_state(psi0, n_sites: int) -> np.ndarray:

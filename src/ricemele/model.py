@@ -97,13 +97,23 @@ def build_hamiltonians(spec: ChainSpec, j1, j2, delta) -> np.ndarray:
     return h
 
 
-def bloch_band_width(point: ParameterPoint) -> float:
-    """Width of one Bloch band of the infinite chain at a parameter point.
+def band_width(j1, j2, delta):
+    """Width of one Bloch band of the infinite chain, for scalars or arrays
+    of (J1, J2, delta).
 
     The band energies are +-sqrt(delta^2 + |J1 + J2 e^{ik}|^2), so the
-    width is sqrt(delta^2 + (J1+J2)^2) - sqrt(delta^2 + (J1-J2)^2).
+    width is sqrt(delta^2 + (J1+J2)^2) - sqrt(delta^2 + (J1-J2)^2). It is
+    computed as 4 J1 J2 over the sum of the two roots, which does not cancel
+    where |delta| far exceeds the couplings; the sum is 0 only where J1 =
+    J2 = delta = 0, and so is the width.
     """
-    d2 = point.delta * point.delta
-    hi = np.sqrt(d2 + (point.j1 + point.j2) ** 2)
-    lo = np.sqrt(d2 + (point.j1 - point.j2) ** 2)
-    return float(hi - lo)
+    j1, j2, delta = (np.asarray(x, dtype=float) for x in (j1, j2, delta))
+    d2 = delta * delta
+    roots = np.sqrt(d2 + (j1 + j2) ** 2) + np.sqrt(d2 + (j1 - j2) ** 2)
+    return np.divide(4.0 * j1 * j2, roots, out=np.zeros(roots.shape), where=roots > 0.0)
+
+
+def bloch_band_width(point: ParameterPoint) -> float:
+    """Width of one Bloch band of the infinite chain at a parameter point
+    (see band_width)."""
+    return float(band_width(point.j1, point.j2, point.delta))

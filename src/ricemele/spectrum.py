@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import float_rows, write_lines
-from .model import TWO_PI, ChainSpec, ParameterPoint, build_hamiltonian, build_hamiltonians
+from .model import TWO_PI, ChainSpec, ParameterPoint, band_width, build_hamiltonian, build_hamiltonians
 from .protocols import PumpProtocol, sample_trajectory
 from . import evolution
 
@@ -101,8 +101,7 @@ def max_band_width(protocol: PumpProtocol) -> float:
     period = protocol.period
     times, step = np.linspace(0.0, period, 512, endpoint=False), period / 512
     for _ in range(5):
-        j1, j2, delta = sample_trajectory(protocol, times % period)
-        widths = np.sqrt(delta**2 + (j1 + j2) ** 2) - np.sqrt(delta**2 + (j1 - j2) ** 2)
+        widths = band_width(*sample_trajectory(protocol, times % period))
         k = int(np.argmax(widths))  # each scan holds the widest time of the one before at its centre
         if widths[k] <= 0.0:
             return 0.0

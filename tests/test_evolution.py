@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -143,12 +143,14 @@ coupling_values = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 
 @settings(max_examples=300, deadline=None)
 @given(n_sites=st.integers(1, 12), parity=st.sampled_from([1, -1]),
-       points=st.lists(st.tuples(coupling_values, coupling_values, st.booleans(), st.floats(0.0, 20.0)),
+       points=st.lists(st.tuples(coupling_values, coupling_values, st.booleans(), st.floats(0.0, 1e4)),
                        min_size=1, max_size=6))
+@example(n_sites=10, parity=-1, points=[(0.0017, 0.0017, True, 13.1 / 0.0017)])
 def test_chain_eigh_matches_eigh(n_sites, parity, points):
     """The odd-site-block decomposition of a chain stack against LAPACK's
     eigh: J1, J2 with exact zeros and J1 = J2 among the draws, and delta up
-    to 20 times the larger coupling."""
+    to 10^4 times the larger coupling, where a d^2 shift in the odd block
+    would cost thousands of eps (the example: J1 = J2 = 0.0017, d = -13.1)."""
     j1, j2, equal, ratio = (np.array(x) for x in zip(*points))
     j2 = np.where(equal, j1, j2)
     h = build_hamiltonians(ChainSpec(n_sites, parity), j1, j2, ratio * np.maximum(j1, j2))
@@ -379,10 +381,11 @@ def test_offset_stack_equals_point_by_point_evolve(monkeypatch, propagate_stacks
                                                   store):
     """Offsets share the chain, step count and cycle count but not their
     Hamiltonians: announced, they step as one stack whose exponents are
-    decomposed together, again for each of the gcd(n_steps, n_cycles)
-    passes. Every run equals one evolve of its own, bit for bit, also where
-    chunk boundaries fall inside a grid, and the stack decomposes exactly
-    as many matrices as its runs do one at a time."""
+    decomposed together. Their bonds are equal bit for bit, so the stack
+    takes the bond part of its grid of 48 exponents once, for all five
+    offsets and all gcd(n_steps, n_cycles) passes, where the runs one at a
+    time decompose 48 a pass each. Every run equals one evolve of its own,
+    bit for bit, also where chunk boundaries fall inside a grid."""
     chain, size = ChainSpec(n_sites), (n_sites + 1) // 2
     protocols = [replace(PROTO, n_cycles=n_cycles, delta_offset=TWO_PI * x) for x in (-3.0, -0.5, 0.0, 1.5, 4.0)]
     # 24 steps a cycle, so gcd(n_steps, n_cycles) = n_cycles passes through a grid of one cycle
@@ -398,7 +401,88 @@ def test_offset_stack_equals_point_by_point_evolve(monkeypatch, propagate_stacks
     before = eigh_matrices(size)
     with evolution.shared_decompositions(runs):
         shared = [evolve(*run) for run in runs]
-    assert eigh_matrices(size) - before == lone and propagate_stacks == [len(runs)]
+    assert eigh_matrices(size) - before == 2 * 24 and propagate_stacks == [len(runs)]
+    assert all(same_records(a, b) for a, b in zip(alone, shared))
+
+
+def nudged_at_one_node(couplings, step, node):
+    """couplings with J1 one ulp larger at one Gauss node of one step."""
+    def nudged(t):
+        j1, j2, delta = couplings(t)
+        j1 = j1.copy()
+        j1[step, node] = np.nextafter(j1[step, node], np.inf)
+        return j1, j2, delta
+    return nudged
+
+
+@pytest.mark.parametrize("store", [True, False])
+def test_bonds_a_last_bit_apart_are_not_shared(eigh_matrices, store):
+    """Schedules share a bond part only where their weighted J1 and J2 are
+    equal bit for bit over the whole grid: a J1 one ulp larger at one node
+    makes a second bond group, a shifted delta does not. Each run of the
+    stack equals its lone run bit for bit."""
+    chain, n_steps, passes = ChainSpec(7), 24, 2
+    base = lambda t: sample_trajectory(PROTO, t)  # noqa: E731
+    shifted = lambda t: sample_trajectory(replace(PROTO, delta_offset=3.0), t)  # noqa: E731
+    couplings = [base, nudged_at_one_node(base, 5, 0), shifted]
+    psi0s = [start_state(chain, PROTO, 2), start_state(chain, PROTO, 1), start_state(chain, PROTO, 3)]
+    dts = [0.01, 0.02, 0.015]
+
+    def step(schedules, indices):
+        chunks = evolution._cf4_decomposition(chain, schedules, n_steps, PROTO.period, store, passes)
+        return evolution._propagate(chunks, 2 * n_steps * passes, [dts[i] for i in indices],
+                                    [psi0s[i] for i in indices], store, range(len(indices)))
+
+    stacked = step(couplings, [0, 1, 2])
+    # two bond groups, each grid of 48 exponents decomposed once for both passes
+    assert eigh_matrices(4) == 2 * 2 * n_steps
+    for i, schedule in enumerate(couplings):
+        (final, states), = step([schedule], [i])
+        assert np.array_equal(final, stacked[i][0])
+        assert states is None or np.array_equal(states, stacked[i][1])
+
+
+@pytest.mark.parametrize("store", [True, False])
+@pytest.mark.parametrize("n_sites", [5, 12])
+def test_stack_of_mixed_bond_groups_equals_lone_runs(propagate_stacks, eigh_matrices, n_sites, store):
+    """Offsets of one J0 share their bonds and other J0 do not: a stack of
+    five schedules in three bond groups, their members not adjacent,
+    decomposes one bond grid per group, held for both passes, and every run
+    equals one evolve of its own, bit for bit."""
+    chain, size = ChainSpec(n_sites), (n_sites + 1) // 2
+    points = [(1.5, -1.0), (2.0, 0.5), (1.5, 2.0), (1.0, 0.0), (2.0, -0.5)]
+    protocols = [replace(PROTO, j_max=TWO_PI * j, delta_offset=TWO_PI * x) for j, x in points]
+    runs = [(chain, p, start_state(chain, p, 2), EvolutionConfig(p.period / 24, store)) for p in protocols]
+    alone = [evolve(*run) for run in runs]
+    propagate_stacks.clear()
+    before = eigh_matrices(size)
+    with evolution.shared_decompositions(runs):
+        shared = [evolve(*run) for run in runs]
+    assert eigh_matrices(size) - before == 3 * 2 * 24 and propagate_stacks == [len(runs)]
+    assert all(same_records(a, b) for a, b in zip(alone, shared))
+
+
+# eigh_matrices counts from the start of the test; each example reads a difference of its counts
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_sites=st.integers(2, 12), n_cycles=st.integers(1, 3), n_steps=st.integers(1, 60),
+       points=st.lists(st.tuples(st.sampled_from([1.5, 2.0]), st.floats(-5.0, 5.0)), min_size=2, max_size=6,
+                       unique_by=lambda point: point[1]),
+       store=st.booleans())
+def test_stack_equals_lone_runs_and_decomposes_a_grid_per_bond_group(eigh_matrices, n_sites, n_cycles, n_steps,
+                                                                      points, store):
+    """Any stack of distinct offsets at one or two J0 equals its lone runs
+    bit for bit and decomposes the 2G exponents of its grid of G = n_steps //
+    gcd(n_steps, n_cycles) steps once per bond group, however many passes
+    it takes."""
+    chain, size = ChainSpec(n_sites), (n_sites + 1) // 2
+    protocols = [replace(PROTO, j_max=TWO_PI * j, delta_offset=TWO_PI * x, n_cycles=n_cycles) for j, x in points]
+    runs = [(chain, p, start_state(chain, p), EvolutionConfig(p.duration / n_steps, store)) for p in protocols]
+    alone = [evolve(*run) for run in runs]
+    before = eigh_matrices(size)
+    with evolution.shared_decompositions(runs):
+        shared = [evolve(*run) for run in runs]
+    groups = len({j for j, _ in points})
+    assert eigh_matrices(size) - before == groups * 2 * (n_steps // math.gcd(n_steps, n_cycles))
     assert all(same_records(a, b) for a, b in zip(alone, shared))
 
 

@@ -126,10 +126,15 @@ def test_find_spectral_peaks_matches_scipy_find_peaks(y, frac):
 
 
 def test_max_band_width_matches_closed_form():
-    # the widest point of the smooth cycle is the maximal-imbalance corner,
-    # where J1 = J2 = J0/2 and |delta| = delta0
-    expected = np.sqrt(D0**2 + J0**2) - D0
-    assert max_band_width(PROTO) == pytest.approx(expected, rel=1e-7)
+    """The widest point of the smooth cycle is the maximal-imbalance corner,
+    where J1 = J2 = J0/2 and |delta| = delta0: sqrt(delta0^2 + J0^2) - delta0,
+    written without its cancellation. The width formula does not cancel
+    either, so the scans land within a few ulps of it."""
+    for j0 in (0.3, J0, 17.0):
+        for delta0 in np.linspace(1.0, 5.0, 200) * j0:
+            expected = j0**2 / (np.sqrt(delta0**2 + j0**2) + delta0)
+            width = max_band_width(PumpProtocol("experimental", j0, delta0, 0.0, 1.0, 2))
+            assert abs(width - expected) <= 4 * np.finfo(float).eps * expected
 
 
 def test_max_band_width_independent_of_period_and_cycles():

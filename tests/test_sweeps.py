@@ -549,11 +549,12 @@ def test_lone_sweep_group_holds_no_decomposition(eigh_matrices):
 def test_grid_points_sharing_a_schedule_share_decompositions(eigh_matrices):
     """period_delta puts period first, so points sharing a delta0 are not
     adjacent in row order; they still share one decomposition, and every
-    row is written back in place."""
+    row is written back in place. The two delta0 values share their bonds
+    too, so one bond grid serves both."""
     spec = SweepSpec("period_delta", CHAIN, PROTO,
                      {"period": np.array([0.4, 0.6]), "delta0": np.array([TWO_PI * 5.0, TWO_PI * 6.0])})
     result = run_sweep(spec)
-    assert eigh_matrices(3) == 2 * 1024  # two delta0 values, 512 steps of two exponents each
+    assert eigh_matrices(3) == 1024  # one bond group, 512 steps of two exponents each
     expected = [transport_efficiency(CHAIN, replace(PROTO, period=p, delta0=d))
                 for p in (0.4, 0.6) for d in (TWO_PI * 5.0, TWO_PI * 6.0)]
     assert np.array_equal(result.values[:, 0], expected)
