@@ -22,9 +22,14 @@ sublattices, and _chain_eigh builds every eigenpair of H from one eigh of
 Q Q^T, (N + 1) // 2 rows, and a QR of Q^T on its eigenvectors, in place of
 an eigh of all N rows. Neither depends on d (_bond_eigh); d enters only
 through 2x2 blocks (_chain_diagonal), so schedules with the same bonds, as
-the offsets of a scan, share one eigh and one QR per exponent. Generic
-Hermitian stacks, as in the tests, map np.linalg.eigh instead; both give
-_eigen_chunks (w, v) stacks.
+the offsets of a scan, share one eigh and one QR per exponent, taken for as
+many exponents at a time as a chunk holds matrices of all the schedules.
+_chain_diagonal builds the eigenvectors with the matrix axes first, so that
+each of its products runs along the chains of a chunk, and copies them once
+into the usual layout. A dimer start state is a two-site chain whose bond
+part is u = e = 1, R = -J1, so it takes no eigh. Generic Hermitian stacks,
+as in the tests, map np.linalg.eigh instead; both give _eigen_chunks (w, v)
+stacks.
 
 The pump is periodic in the cycle phase (Thouless, PRB 27, 6083 (1983)),
 so the steps of a run repeat every G = n_steps // gcd(n_steps, n_cycles)
@@ -49,7 +54,8 @@ through the overlaps of its schedule.
 
 Every step multiplies the phases into the state, c <- p_k * (O_k c). A
 lone run steps by o.dot(c), a stack C by matmul(o, C[..., None])[..., 0],
-which gives each run the bits of a lone run.
+which gives each run the bits of a lone run. The phases are the cos and sin
+of the real angles -w dt, the bits of the complex exp(-i w dt) they replace.
 """
 
 from __future__ import annotations
@@ -81,14 +87,17 @@ MAX_STEPS = 2**20
 # exponent weights a1, a2 (see the module docstring).
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
-# Bytes of matrices built at a time: the eigenvectors and overlaps of a chunk
-# in _eigen_chunks (the Hamiltonians of its bond groups, their odd-site blocks
-# and QR factors take at most as much, a quarter each), and a block of steps'
-# complex overlaps and (steps, B, N) phases in _propagate. A bound on the
-# memory a run takes beyond what it holds, large enough that the stacked eigh,
-# QR and matmul calls amortise their call cost. A chunk of S schedules holds
-# as many matrices as a chunk of one, so a stack takes no more than a lone run
-# besides the bond parts it holds.
+# Bytes of matrices built at a time: the eigenvectors of a chunk in
+# _chain_diagonal, built with the matrix axes first and copied once, so 16
+# bytes a matrix element (its overlaps in _eigen_chunks take half that; the
+# Hamiltonians of the bond chunk it is sliced from, one group's share of a
+# chunk for each group, their odd-site blocks and QR factors take at most a
+# half and a quarter), and a block of steps' complex overlaps, (steps, B, N)
+# complex phases and real angles in _propagate. A bound on the memory a run
+# takes beyond what it holds, large enough that the stacked eigh, QR and
+# matmul calls amortise their call cost. A chunk of S schedules holds as many
+# matrices as a chunk of one, so a stack takes no more than a lone run besides
+# the bond parts it holds.
 _CHUNK_BYTES = 2**20
 
 
@@ -169,10 +178,10 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
     A lone run (B = 1) keeps its coefficients as a vector and steps them by
     o.dot(c); a stack keeps them as rows (B, N) and steps them by one
     _matvecs a step, with the bits of a lone run. A block of steps' (steps,
-    B, N) phases and complex overlaps are built in two reused buffers
-    within _CHUNK_BYTES. The state enters and leaves each grid, and each
-    stored state leaves the eigenbasis, run by run in a lone run's
-    expressions.
+    B, N) real angles -w dt, their phases cos + i sin, and complex overlaps
+    are built in three reused buffers within _CHUNK_BYTES. The state enters
+    and leaves each grid, and each stored state leaves the eigenbasis, run
+    by run in a lone run's expressions.
 
     chunks may be a list, walked at any dt, or a generator, decomposed as
     it is stepped. They may walk one grid of matrices several times, as
@@ -213,13 +222,14 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
         if first is not None:  # matrix 0 of a grid, entered from the site basis
             if c is None:
                 psi = psi0s
-                # the steps whose phases and complex overlaps fit in a chunk, and their two buffers
+                # the steps whose angles, phases and complex overlaps fit in a chunk, and their three buffers
                 runs_shape = () if lone else (b,)
                 matrix_shape = per_run(overlaps[:1]).shape[1:-2]
-                per = max(1, _CHUNK_BYTES // (16 * n * (n * math.prod(matrix_shape) + b)))
+                per = max(1, _CHUNK_BYTES // (8 * n * (2 * n * math.prod(matrix_shape) + 3 * b)))
                 block = min(per, len(w))
                 cast = np.empty((block, *matrix_shape, n, n), dtype=complex)
                 buffer = np.empty((block, *runs_shape, n), dtype=complex)
+                angles = np.empty(buffer.shape)
             else:  # a later pass: leave the eigenbasis the last pass ended in
                 psi = [leave(final[s], ci) for (s, _), ci in zip(runs, [c] if lone else c)]
             c = [np.exp(-1j * w[0, s] * step) * enter(first[s], p) for (s, step), p in zip(runs, psi)]
@@ -228,8 +238,10 @@ def _propagate(chunks, count, dts, psi0s, store, schedules=(0,)):
         w, overlaps = per_run(w), per_run(overlaps)
         for start in range(0, len(w), per):
             part = w[start:start + per]
-            matrices, phases = cast[:len(part)], buffer[:len(part)]
-            np.exp(np.multiply(-1j * part, dt, out=phases), out=phases)
+            matrices, phases, angle = cast[:len(part)], buffer[:len(part)], angles[:len(part)]
+            np.multiply(part, -dt, out=angle)  # the phases exp(-i w dt) as cos and sin of the real angles
+            np.cos(angle, out=phases.real)
+            np.sin(angle, out=phases.imag)
             matrices[...] = overlaps[start:start + per]
             for j, (p, o) in enumerate(zip(phases, matrices), k + start):
                 c = p * product(o, c)
@@ -313,25 +325,35 @@ def _run_keys(spec, protocol, psi0, cfg):
 
 class _Block:
     """What shared_decompositions(runs) holds: the announced runs not yet
-    stepped, by stack key and then run, and the (final state, states) of
-    the runs a stack stepped that evolve has not yet returned, by run."""
+    stepped, by stack key and then run, the number of times each run was
+    announced and not yet returned, and the (final state, states) of the
+    runs a stack stepped that evolve has not yet returned, by run. A run
+    announced several times steps once and is returned to as many evolve
+    calls."""
 
     def __init__(self, runs):
-        self.pending, self.stepped = {}, {}
+        self.pending, self.stepped, self.owed = {}, {}, {}
         for spec, protocol, psi0, cfg in runs:
             psi0 = _checked_state(psi0, spec.n_sites)
             run, key = _run_keys(spec, protocol, psi0, cfg)
             self.pending.setdefault(key, {})[run] = protocol, psi0
+            self.owed[run] = self.owed.get(run, 0) + 1
 
     def step(self, spec, protocol, psi0, cfg):
         """The (final state, states) of an announced run, stepping its stack
         if this is the first evolve of it; None for a run not announced, or
-        already returned."""
+        returned as often as it was announced. Each return but the last is a
+        copy, so that no two records share an array."""
         run, key = _run_keys(spec, protocol, psi0, cfg)
         if run in self.pending.get(key, ()):
             stack, (_, n_steps, _, store) = self.pending.pop(key), key
             self.stepped.update(zip(stack, _step_stack(spec, list(stack.values()), n_steps, store)))
-        return self.stepped.pop(run, None)
+        if run not in self.stepped:
+            return None
+        self.owed[run] -= 1
+        if self.owed[run]:
+            return [None if x is None else x.copy() for x in self.stepped[run]]
+        return self.stepped.pop(run)
 
 
 _shared = ContextVar("shared_decompositions", default=None)
@@ -346,10 +368,12 @@ def shared_decompositions(runs=()):
     announced run of its stack_key, the same chain, step count, cycle count
     and store_states, as one (B, N) stack (see _step_stack and _propagate),
     and keeps their final states and states until their own evolve calls
-    return them. A run whose protocol, psi0, step count or store_states
-    was not announced, or that was already returned, steps alone, as
-    outside the block. Every run has the bits of the same run outside the
-    block; whatever the block keeps is dropped when it ends."""
+    return them; a run announced several times steps once, and each of its
+    evolve calls gets its result. A run whose protocol, psi0, step count or
+    store_states was not announced, or that was already returned as often
+    as it was announced, steps alone, as outside the block. Every run has
+    the bits of the same run outside the block; whatever the block keeps is
+    dropped when it ends."""
     token = _shared.set(_Block(runs))
     try:
         yield
@@ -370,26 +394,32 @@ def _bond_eigh(q):
 def _chain_diagonal(d, u, even, r):
     """The eigenvalues and eigenvectors (w, v) of chains with diagonal d on
     the bond parts (u, even, r) of _bond_eigh; d, shape (...), broadcasts
-    against the bond parts' stack, so several chains can share one.
+    against the bond parts' stack of as many axes, so several chains can
+    share one.
 
     H is the 2x2 block [[d, R_ii], [R_ii, -d]] on each pair (u_i, e_i):
     eigenvalues -+hypot(d, R_ii), eigenvectors from the half-angle
     atan2(R_ii, d) / 2. An odd-site column u_i left over (odd N) is an
-    eigenvector of eigenvalue d.
+    eigenvector of eigenvalue d. v is built with its matrix axes first, so
+    that each product runs along the chains, not along a matrix's few
+    columns, and is copied once into the (..., N, N) layout.
     """
     pairs = r.shape[-1]
     n = u.shape[-1] + pairs
     half = 0.5 * np.arctan2(r, d[..., None])
-    cos, sin = np.cos(half)[..., None, :], np.sin(half)[..., None, :]
-    v = np.zeros((*half.shape[:-1], n, n))
-    np.multiply(u[..., :pairs], -sin, out=v[..., 0::2, :pairs])
-    np.multiply(even, cos, out=v[..., 1::2, :pairs])
-    np.multiply(u[..., :pairs], cos, out=v[..., 0::2, pairs:2 * pairs])
-    np.multiply(even, sin, out=v[..., 1::2, pairs:2 * pairs])
-    v[..., 0::2, 2 * pairs:] = u[..., pairs:]
+    chains = half.ndim - 1  # the stack's axes, after the matrix axes from here on
+    cos, sin = (x.transpose(chains, *range(chains))[None] for x in (np.cos(half), np.sin(half)))
+    u, even = (x.transpose(chains, chains + 1, *range(chains)) for x in (u, even))
+    v = np.zeros((n, n, *half.shape[:-1]))
+    np.multiply(u[:, :pairs], -sin, out=v[0::2, :pairs])
+    np.multiply(even, cos, out=v[1::2, :pairs])
+    np.multiply(u[:, :pairs], cos, out=v[0::2, pairs:2 * pairs])
+    np.multiply(even, sin, out=v[1::2, pairs:2 * pairs])
+    v[0::2, 2 * pairs:] = u[:, pairs:]
     radius = np.hypot(d[..., None], r)
     rest = np.broadcast_to(d[..., None], (*radius.shape[:-1], n - 2 * pairs))
-    return np.concatenate([-radius, radius, rest], axis=-1), v
+    w = np.concatenate([-radius, radius, rest], axis=-1)
+    return w, np.ascontiguousarray(v.transpose(*range(2, chains + 2), 0, 1))
 
 
 def _chain_eigh(h):
@@ -459,7 +489,11 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store, passes=1):
     where the stack has one group. The exponents are decomposed a chunk at
     a time: as many matrices as one schedule's chunk of _CHUNK_BYTES, or its
     whole grid if that is smaller, and at least one exponent of each
-    schedule. Several schedules hold the bond parts of their grid across
+    schedule. The bond parts are taken a bond chunk at a time, the
+    exponents of S // groups chunks (at least one) for every group, about
+    as many matrices as a chunk, and sliced for each chunk: the 61 offsets
+    of one group on N = 5 take 2 eigh calls a grid, where a chunk at a time
+    took 64. Several schedules hold the bond parts of their grid across
     the passes, about 8 * 2 n_steps * N**2 / 2 bytes a group; one schedule
     decomposes its grid again for each pass, so it holds a chunk at a time.
     No full stack of Hamiltonians exists. Every eigh, QR and product works
@@ -481,22 +515,24 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store, passes=1):
     shared = slice(0, 1) if len(groups) == 1 else group  # one group broadcasts, several are gathered
     bonds = bonds[..., firsts]  # each group's couplings, so that the stack's own can go
     del weighted, groups
-    per = max(1, min(count, _CHUNK_BYTES // (8 * n * n)) // s)  # exponents a chunk
+    per = max(1, min(count, _CHUNK_BYTES // (16 * n * n)) // s)  # exponents a chunk
+    bond_per = per * max(1, s // len(firsts))  # exponents a bond chunk: about as many matrices as a chunk
 
-    def bond_part(start):  # a chunk's (u, even, r), shape (exponents, groups, ...); its Hamiltonians are dropped
-        j1, j2 = bonds[:, start:start + per]
-        return _bond_eigh(build_hamiltonians(spec, j1.ravel(), j2.ravel(), 0.0)
-                          .reshape(*j1.shape, n, n)[..., 0::2, 1::2].copy())
+    def bond_parts():  # each chunk's start and its slice of its bond chunk's (u, even, r), (exponents, groups, ...)
+        for start in range(0, count, bond_per):
+            j1, j2 = bonds[:, start:start + bond_per]
+            part = _bond_eigh(build_hamiltonians(spec, j1.ravel(), j2.ravel(), 0.0)
+                              .reshape(*j1.shape, n, n)[..., 0::2, 1::2].copy())
+            for offset in range(0, len(j1), per):
+                yield start + offset, [x[offset:offset + per] for x in part]
+            del part  # before the next bond chunk is decomposed
 
     def diagonal(start, part):  # a chunk's (w, v), shape (exponents, S, ...)
         return _chain_diagonal(d[start:start + per], *(x[:, shared] for x in part))
 
-    # map, not a generator, so that nothing here keeps a chunk alive while it is stepped
-    starts = range(0, count, per)
-    held = list(map(bond_part, starts)) if s > 1 and passes > 1 else None
+    held = list(bond_parts()) if s > 1 and passes > 1 else None
     for _ in range(passes):
-        yield from _eigen_chunks(map(diagonal, starts, map(bond_part, starts) if held is None else held),
-                                 count, store)
+        yield from _eigen_chunks(itertools.starmap(diagonal, bond_parts() if held is None else held), count, store)
 
 
 def _checked_state(psi0, n_sites: int) -> np.ndarray:
@@ -571,15 +607,10 @@ def initial_dimer_state(
         raise ValueError("point must be dimerized (J2 = 0) for cell preparation")
     if point.j1 == 0.0:
         raise ValueError("degenerate dimer: J1 = 0 leaves the doublet unresolved")
-    signs = spec.site_signs()
-    block = np.array(
-        [
-            [point.delta * signs[a - 1], -point.j1],
-            [-point.j1, point.delta * signs[b - 1]],
-        ]
-    )
-    _, v = _chain_eigh(block[None])  # a two-site chain: eigenvalues -r, then +r
-    vec = v[0, :, 0] if branch == "lower" else v[0, :, 1]
+    # a two-site chain, eigenvalues -r, then +r: its bond block -J1 has u = e = 1 and R = -J1 (see _chain_eigh)
+    one = np.ones((1, 1))
+    _, v = _chain_diagonal(np.array(point.delta * spec.site_signs()[a - 1]), one, one, np.array([-point.j1]))
+    vec = v[:, 0] if branch == "lower" else v[:, 1]
     # fix the sign gauge so the first-site amplitude is non-negative
     if vec[0] < 0:
         vec = -vec

@@ -162,11 +162,45 @@ def test_chain_eigh_matches_eigh(n_sites, parity, points):
     assert np.all(np.abs(np.sort(w, axis=1) - np.linalg.eigvalsh(h)) <= bound[:, :, 0])
 
 
+@settings(max_examples=100, deadline=None)
+@given(n_sites=st.integers(1, 12), exponents=st.integers(1, 5), schedules=st.integers(1, 6),
+       groups=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_chain_diagonal_of_shared_and_gathered_bonds_equals_a_loop_over_chains(n_sites, exponents, schedules,
+                                                                               groups, seed):
+    """_chain_diagonal builds v with its matrix axes first and broadcasts d,
+    (E, S), against bond parts shared as (E, 1, ...) or gathered by group as
+    (E, S, ...): every chain equals its 2x2 blocks built chain by chain in
+    the (N, N) layout, bit for bit, exact zeros and d from 1e-3 to 1e3
+    included."""
+    rng = np.random.default_rng(seed)
+    m, p = (n_sites + 1) // 2, n_sites // 2
+
+    def draw(*shape):
+        return np.where(rng.random(shape) < 0.2, 0.0, rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape))
+
+    bonds = draw(exponents, groups, m, m), draw(exponents, groups, p, p), draw(exponents, groups, p)
+    d, group = draw(exponents, schedules), rng.integers(0, groups, schedules)
+    for index in (slice(0, 1), group):  # one group broadcast, or each schedule's group gathered
+        w, v = evolution._chain_diagonal(d, *(x[:, index] for x in bonds))
+        assert w.shape == (exponents, schedules, n_sites) and v.shape == (exponents, schedules, n_sites, n_sites)
+        for e, s in np.ndindex(exponents, schedules):
+            u, even, r = (x[e, 0 if isinstance(index, slice) else group[s]] for x in bonds)
+            half = 0.5 * np.arctan2(r, d[e, s])
+            cos, sin = np.cos(half), np.sin(half)
+            v1 = np.zeros((n_sites, n_sites))
+            v1[0::2, :p], v1[1::2, :p] = u[:, :p] * -sin, even * cos
+            v1[0::2, p:2 * p], v1[1::2, p:2 * p] = u[:, :p] * cos, even * sin
+            v1[0::2, 2 * p:] = u[:, p:]
+            radius = np.hypot(d[e, s], r)
+            w1 = np.concatenate([-radius, radius, np.full(n_sites - 2 * p, d[e, s])])
+            assert w[e, s].tobytes() == w1.tobytes() and v[e, s].tobytes() == v1.tobytes()
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 16 * 25 * 7])
 def test_chunk_size_does_not_change_any_state(monkeypatch, chunk_bytes):
     cfgs = [EvolutionConfig(dt=PROTO.period / 1000, store_states=store) for store in (True, False)]
     before = [evolve(CHAIN, PROTO, start_state(), cfg).states for cfg in cfgs]
-    # 1 or 7 step matrices and 1 or 14 exponents per chunk
+    # 1 or 5 step matrices and 1 or 7 exponents per chunk
     monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
     for cfg, states in zip(cfgs, before):
         assert np.array_equal(evolve(CHAIN, PROTO, start_state(), cfg).states, states)
@@ -188,7 +222,7 @@ def test_chunked_decomposition_equals_whole_stack_eigh(monkeypatch, n_sites):
     chain, couplings = ChainSpec(n_sites), lambda t: sample_trajectory(PROTO, t)
     expected, v = whole_stack_decomposition(chain, couplings, 100, PROTO.duration)
     # 3 exponents per chunk: chunks split steps' M1, M2 pairs, and 200 = 66 * 3 + 2 ends short
-    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 8 * n_sites**2)
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 3 * 16 * n_sites**2)
     for store in (True, False):
         w, overlaps, first, bases = zip(*evolution._cf4_decomposition(chain, [couplings], 100, PROTO.duration, store))
         assert np.array_equal(np.concatenate(w)[:, 0], expected) and np.array_equal(first[0][0], v[0])
@@ -262,7 +296,7 @@ def test_shared_and_streamed_runs_agree_bit_for_bit(n_sites, steps, periods, n_c
     psi0 = start_state(chain, PROTO)
     cfgs = [EvolutionConfig(dt=proto.duration / steps, store_states=store) for proto in (first, second)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evolution, "_CHUNK_BYTES", chunk_matrices * 8 * n_sites**2)
+        patch.setattr(evolution, "_CHUNK_BYTES", chunk_matrices * 16 * n_sites**2)
         with evolution.shared_decompositions([(chain, first, psi0, cfgs[0]), (chain, second, psi0, cfgs[1])]):
             evolve(chain, first, psi0, cfgs[0])
             shared = evolve(chain, second, psi0, cfgs[1])
@@ -334,8 +368,8 @@ def test_listed_periods_of_other_step_counts_keep_their_bits():
 @pytest.mark.parametrize("store", [True, False])
 def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
     """A stack casts its overlaps and builds its (steps, B, N) phases a
-    block of steps at a time: blocks of 1 to 90 steps, in chunks of 1 to
-    209 exponents, give the same bits."""
+    block of steps at a time: blocks of 1 to 84 steps, in chunks of 1 to
+    104 exponents, give the same bits."""
     chain, periods = ChainSpec(25), [0.3, 0.8, 1.1, 2.0]
     psi0, cfg = start_state(chain, PROTO, 6), EvolutionConfig(dt=None, store_states=store)
     runs = [(chain, replace(PROTO, n_cycles=3, period=p), psi0, cfg) for p in periods]
@@ -345,8 +379,8 @@ def test_stack_chunking_does_not_change_any_state(monkeypatch, store):
             return [evolve(*run).states for run in runs]
 
     expected = stacked()
-    # blocks of 1, 5 and 1 steps in chunks of 1, 12 and 3 exponents; the default is 90 and 209
-    for chunk_bytes in (1, 5 * 16 * 25 * 29 + 4000, 3 * 8 * 25**2):
+    # blocks of 1, 5 and 2 steps in chunks of 1, 6 and 3 exponents; the default is 84 and 104
+    for chunk_bytes in (1, 5 * 8 * 25 * 62 + 4000, 3 * 16 * 25**2):
         monkeypatch.setattr(evolution, "_CHUNK_BYTES", chunk_bytes)
         assert all(np.array_equal(a, b) for a, b in zip(stacked(), expected))
 
@@ -396,7 +430,7 @@ def test_offset_stack_equals_point_by_point_evolve(monkeypatch, propagate_stacks
     lone = eigh_matrices(size) - before
     assert lone == len(runs) * 2 * 24 * n_cycles
     # 7 exponents of 5 schedules a chunk: chunk boundaries inside a grid of 48 exponents
-    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 7 * 5 * 8 * n_sites**2)
+    monkeypatch.setattr(evolution, "_CHUNK_BYTES", 7 * 5 * 16 * n_sites**2)
     propagate_stacks.clear()
     before = eigh_matrices(size)
     with evolution.shared_decompositions(runs):
@@ -484,6 +518,23 @@ def test_stack_equals_lone_runs_and_decomposes_a_grid_per_bond_group(eigh_matric
     groups = len({j for j, _ in points})
     assert eigh_matrices(size) - before == groups * 2 * (n_steps // math.gcd(n_steps, n_cycles))
     assert all(same_records(a, b) for a, b in zip(alone, shared))
+
+
+def test_offset_stack_takes_its_bond_grid_in_two_eigh_calls(monkeypatch):
+    """61 offsets on N = 5 form one bond group: the stack takes the bond parts
+    of its 1,024 exponents in chunks of one group's share of a chunk, 61
+    times the 16 exponents of a chunk of 61 schedules, so two eigh calls
+    decompose its bond grid for both passes, not one per chunk (64). The
+    start states take no eigh."""
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *rest: shapes.append(np.shape(a)) or eigh(a, *rest))
+    chain, cfg = ChainSpec(5), EvolutionConfig(store_states=False)
+    protocols = [replace(PROTO, delta_offset=float(x)) for x in np.linspace(-3.0, 3.0, 61) * PROTO.delta0]
+    runs = [(chain, p, start_state(chain, p), cfg) for p in protocols]
+    with evolution.shared_decompositions(runs):
+        for run in runs:
+            evolve(*run)
+    assert shapes == [(976, 1, 3, 3), (48, 1, 3, 3)]
 
 
 def test_offset_stack_holds_its_outputs_and_a_few_chunks():
@@ -656,6 +707,25 @@ def test_initial_dimer_state_is_block_eigenstate():
         np.testing.assert_allclose(hpsi, energies[index] * psi, atol=1e-12)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
         assert np.all(psi[[0, 1, 4]] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_sites=st.integers(2, 9), parity=st.sampled_from([1, -1]), cell=st.integers(1, 4),
+       j1=st.floats(1e-3, 10.0), ratio=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+       branch=st.sampled_from(["lower", "upper"]))
+def test_initial_dimer_state_equals_the_chain_decomposition_of_its_cell(n_sites, parity, cell, j1, ratio, branch):
+    """The dimer state applies the cell's d to the bond part u = e = 1,
+    R = -J1 with no eigh: it equals the eigenvector _chain_eigh takes of
+    the two-site block, through LAPACK's 1x1 eigh and QR, bit for bit, for
+    both parities and branches, delta = 0 and |delta| up to 10^4 J1."""
+    chain, cell = ChainSpec(n_sites, parity), min(cell, n_sites // 2)
+    point, a = ParameterPoint(j1, 0.0, ratio * j1), 2 * cell - 1
+    signs = chain.site_signs()
+    block = np.array([[point.delta * signs[a - 1], -j1], [-j1, point.delta * signs[a]]])
+    vec = evolution._chain_eigh(block[None])[1][0, :, 0 if branch == "lower" else 1]
+    expected = np.zeros(n_sites, dtype=complex)
+    expected[a - 1:a + 1] = -vec if vec[0] < 0 else vec
+    assert initial_dimer_state(chain, point, cell, branch).tobytes() == expected.tobytes()
 
 
 def test_initial_dimer_state_validation():

@@ -593,6 +593,47 @@ def test_offset_stacks_equal_point_by_point_evolve(propagate_stacks, n_sites, n_
         assert np.array_equal(run_sweep(replace(spec, jobs=jobs)).values, rows)
 
 
+def test_repeated_offsets_step_once_in_one_stack(propagate_stacks, eigh_matrices):
+    """A sweep group whose offsets repeat a value announces equal runs: the
+    stack steps each distinct run once and returns it to every evolve of it,
+    so no point steps alone, and every row keeps the bits of one evolve. A
+    SweepSpec axis is strictly monotone, so the group is built as run_sweep
+    builds one; efficiency_vs_period takes any period grid."""
+    offsets = TWO_PI * np.array([1.0, -2.5, 1.0, 0.0, -2.5, 1.0])
+    spec = SweepSpec("offset", CHAIN, PROTO, {"delta0": np.array([PROTO.delta0]), "delta_offset": offsets[[1, 3, 0]]},
+                     dt=PROTO.period / 24)
+    cfg = EvolutionConfig(dt=spec.dt, store_states=False)
+    tasks = []
+    for x in offsets:
+        protocol = replace(PROTO, delta_offset=float(x))
+        runs = [(CHAIN, protocol, evolution.start_state(CHAIN, protocol), cfg)]
+        tasks.append((sweeps._efficiency_row, (spec, CHAIN, protocol, 1), runs))
+    rows = sweeps._run_group(tasks)
+    # three distinct runs in one stack, one bond grid of 2 * 24 exponents
+    assert propagate_stacks == [3] and eigh_matrices(3) == 2 * 24
+    expected = [transport_efficiency(CHAIN, replace(PROTO, delta_offset=float(x)), 1, "lower", spec.dt)
+                for x in offsets]
+    assert np.array_equal(np.array(rows)[:, 0], expected)
+    assert np.array_equal(run_sweep(spec).values[:, 0], np.array(expected)[[1, 3, 0]])
+    propagate_stacks.clear()
+    periods = [0.4, 0.7, 0.4, 0.4]
+    effs = efficiency_vs_period(CHAIN, PROTO, periods, dt_per_cycle=24)
+    assert propagate_stacks == [2]
+    assert np.array_equal(effs, [transport_efficiency(CHAIN, replace(PROTO, period=p), 1, "lower", p / 24)
+                                 for p in periods])
+
+
+def test_repeated_runs_get_records_of_their_own():
+    """Equal announced runs get equal records that share no array."""
+    chain, cfg = ChainSpec(5), EvolutionConfig(dt=PROTO.period / 24)
+    run = (chain, PROTO, initial_dimer_state(chain, sample_trajectory(PROTO, 0.0)), cfg)
+    with evolution.shared_decompositions([run, run]):
+        first, second = evolve(*run), evolve(*run)
+        assert evolve(*run).states is not first.states  # a third evolve, not announced, steps alone
+    assert np.array_equal(first.states, second.states) and not np.shares_memory(first.states, second.states)
+    assert np.array_equal(first.states, evolve(*run).states)
+
+
 def test_protocol_compare_steps_its_kinds_and_periods_as_one_stack(propagate_stacks):
     """At 512 steps a period every kind and period of a comparison shares
     the step count: one stack of two schedules, each held by three periods.
