@@ -54,8 +54,8 @@ through the overlaps of its schedule.
 
 Every step multiplies the phases into the state, c <- p_k * (O_k c). A
 lone run steps by o.dot(c), a stack C by matmul(o, C[..., None])[..., 0],
-which gives each run the bits of a lone run. The phases are the cos and sin
-of the real angles -w dt, the bits of the complex exp(-i w dt) they replace.
+which gives each run the bits of a lone run. The phases are written as the
+cos and sin of the real angles -w dt, which have the bits of exp(-i w dt).
 """
 
 from __future__ import annotations
@@ -87,17 +87,18 @@ MAX_STEPS = 2**20
 # exponent weights a1, a2 (see the module docstring).
 _NODES = np.array([-np.sqrt(3.0) / 6.0, np.sqrt(3.0) / 6.0])
 _A1, _A2 = 0.25 + np.sqrt(3.0) / 6.0, 0.25 - np.sqrt(3.0) / 6.0
-# Bytes of matrices built at a time: the eigenvectors of a chunk in
-# _chain_diagonal, built with the matrix axes first and copied once, so 16
-# bytes a matrix element (its overlaps in _eigen_chunks take half that; the
-# Hamiltonians of the bond chunk it is sliced from, one group's share of a
-# chunk for each group, their odd-site blocks and QR factors take at most a
-# half and a quarter), and a block of steps' complex overlaps, (steps, B, N)
-# complex phases and real angles in _propagate. A bound on the memory a run
-# takes beyond what it holds, large enough that the stacked eigh, QR and
-# matmul calls amortise their call cost. A chunk of S schedules holds as many
-# matrices as a chunk of one, so a stack takes no more than a lone run besides
-# the bond parts it holds.
+# Bytes of matrices built at a time. A chunk of exponents in
+# _cf4_decomposition is _CHUNK_BYTES // (16 N**2) matrices, because
+# _chain_diagonal builds their eigenvectors with the matrix axes first and
+# copies them once into the usual layout; their overlaps, and the
+# Hamiltonians, odd-site blocks and QR factors of the bond chunk they are
+# sliced from, take at most half of that. A block of steps in _propagate is
+# as many steps as their complex overlaps, (steps, B, N) real angles and
+# complex phases fit in. A bound on the memory a run takes beyond what it
+# holds, large enough that the stacked eigh, QR and matmul calls amortise
+# their call cost. A chunk of S schedules holds as many matrices as a chunk
+# of one, so a stack takes no more than a lone run besides the bond parts it
+# holds.
 _CHUNK_BYTES = 2**20
 
 
@@ -491,9 +492,9 @@ def _cf4_decomposition(spec, couplings, n_steps, span, store, passes=1):
     whole grid if that is smaller, and at least one exponent of each
     schedule. The bond parts are taken a bond chunk at a time, the
     exponents of S // groups chunks (at least one) for every group, about
-    as many matrices as a chunk, and sliced for each chunk: the 61 offsets
-    of one group on N = 5 take 2 eigh calls a grid, where a chunk at a time
-    took 64. Several schedules hold the bond parts of their grid across
+    as many matrices as a chunk, and sliced for each chunk, so that the
+    61 offsets of one group on N = 5 take 2 eigh calls a grid, not one a
+    chunk (64). Several schedules hold the bond parts of their grid across
     the passes, about 8 * 2 n_steps * N**2 / 2 bytes a group; one schedule
     decomposes its grid again for each pass, so it holds a chunk at a time.
     No full stack of Hamiltonians exists. Every eigh, QR and product works
